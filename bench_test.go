@@ -472,7 +472,7 @@ func BenchmarkStreamIngestLocal(b *testing.B) {
 				var ea *stream.EpochAccumulator
 				var err error
 				if impl == "epoch" {
-					ea, err = stream.NewEpochAccumulator(cfg, 0)
+					ea, err = stream.NewEpochAccumulator(cfg)
 					acc = ea
 				} else {
 					acc, err = stream.NewAccumulator(cfg)
@@ -540,7 +540,7 @@ func BenchmarkStreamIngestBootstrapSparse(b *testing.B) {
 				K: g.NumCategories(), Star: true, N: float64(g.N()),
 				Replicates: uncert.Config{B: B, Seed: 11},
 			}
-			ea, err := stream.NewEpochAccumulator(cfg, 0)
+			ea, err := stream.NewEpochAccumulator(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -667,7 +667,7 @@ func BenchmarkIngestDecode(b *testing.B) {
 	}
 
 	b.Run("encoding=json", func(b *testing.B) {
-		ea, err := stream.NewEpochAccumulator(cfg, 0)
+		ea, err := stream.NewEpochAccumulator(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -691,7 +691,7 @@ func BenchmarkIngestDecode(b *testing.B) {
 	})
 
 	b.Run("encoding=binary", func(b *testing.B) {
-		ea, err := stream.NewEpochAccumulator(cfg, 0)
+		ea, err := stream.NewEpochAccumulator(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -753,7 +753,7 @@ func TestBinaryDecodeToLocalZeroAlloc(t *testing.T) {
 	}
 	ea, err := stream.NewEpochAccumulator(stream.Config{
 		K: g.NumCategories(), Star: true, N: float64(g.N()),
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -888,19 +888,20 @@ func BenchmarkSamplerStudy(b *testing.B) {
 
 // BenchmarkCrawlWalkers measures the adaptive crawl controller end to end:
 // W concurrent walkers stream a fixed 20k-draw budget (no CI target, so
-// every configuration does identical estimation work) into an accumulator
-// with S shards, checkpointing every 5000 draws. The 1-walker/1-shard row
-// is the serialized baseline; the 4/4 and 8/8 rows show how far walker
-// parallelism carries once per-shard locks remove ingest contention (run
-// with -cpu 4,8 on a multi-core machine).
+// every configuration does identical estimation work) into the star
+// scenario's epoch-merged accumulator, each walker through its own local
+// epoch, checkpointing every 5000 draws. The 1-walker row is the serialized
+// baseline; the 4- and 8-walker rows show how far walker parallelism
+// carries with no shared state on the per-draw path (run with -cpu 4,8 on a
+// multi-core machine).
 func BenchmarkCrawlWalkers(b *testing.B) {
 	g := getPaperGraph(b)
-	for _, ws := range []struct{ walkers, shards int }{{1, 1}, {4, 4}, {8, 8}} {
-		b.Run(fmt.Sprintf("walkers=%d/shards=%d", ws.walkers, ws.shards), func(b *testing.B) {
+	for _, walkers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("walkers=%d", walkers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c, err := crawl.Start(g, nil, crawl.Config{
-					Walkers: ws.walkers, Shards: ws.shards,
-					Star: true, N: float64(g.N()),
+					Walkers: walkers,
+					Star:    true, N: float64(g.N()),
 					Seed: uint64(i + 1), BurnIn: 100,
 					MaxDraws: 20_000, CheckEvery: 5000,
 				})

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/job"
 	"repro/internal/sample"
+	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
@@ -33,16 +36,32 @@ func obsRecs(lo, hi int) []sample.NodeObservation {
 
 // parityServer builds a full jobs-enabled server whose default job carries
 // bootstrap replicates, so /estimate?ci= exercises the replicate state too.
-func parityServer(t *testing.T, shards int) *server {
+// The default job runs the engine the daemon picks for its star scenario
+// (epoch-merged); with singleLock it instead adopts a single-lock star
+// accumulator of the same configuration, while jobs created over POST /jobs
+// still get the epoch engine.
+func parityServer(t *testing.T, singleLock bool) *server {
 	t.Helper()
+	spec := job.Spec{
+		Name: job.DefaultName, K: 4, Star: true, N: 800,
+		Bootstrap: 16, BootstrapSeed: 7,
+	}
+	if singleLock {
+		cfg, err := spec.StreamConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := stream.NewAccumulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newServer(acc, nil)
+	}
 	reg, err := job.NewRegistry("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := reg.Create(job.Spec{
-		Name: job.DefaultName, K: 4, Star: true, N: 800,
-		Shards: shards, Bootstrap: 16, BootstrapSeed: 7,
-	})
+	def, err := reg.Create(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +75,9 @@ func parityServer(t *testing.T, shards int) *server {
 // intervals, and the /sums wire export. The encodings must be two spellings
 // of one ingest path, not two paths.
 func TestBinaryIngestParity(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			jsrv, bsrv := parityServer(t, shards), parityServer(t, shards)
+	for name, singleLock := range map[string]bool{"single-lock": true, "epoch": false} {
+		t.Run(name, func(t *testing.T) {
+			jsrv, bsrv := parityServer(t, singleLock), parityServer(t, singleLock)
 			for _, s := range []*server{jsrv, bsrv} {
 				if w := do(t, s, "POST", "/jobs", `{"name":"teal"}`); w.Code != 201 {
 					t.Fatalf("create job: %d %s", w.Code, w.Body)
@@ -106,7 +125,7 @@ func TestBinaryIngestParity(t *testing.T) {
 // "index" mean the same thing in both — and the documented
 // drop-prefix-and-resend retry converges to the same state.
 func TestBinaryIngest422Parity(t *testing.T) {
-	jsrv, bsrv := parityServer(t, 1), parityServer(t, 1)
+	jsrv, bsrv := parityServer(t, false), parityServer(t, false)
 	recs := []sample.NodeObservation{httpObs(1), httpObs(2), {Node: 5, Cat: 9}, httpObs(3)}
 	jb, err := json.Marshal(recs)
 	if err != nil {
@@ -150,7 +169,7 @@ func TestBinaryIngest422Parity(t *testing.T) {
 // rejected whole before any record is applied, exactly like unparseable
 // JSON.
 func TestBinaryIngestMalformed(t *testing.T) {
-	srv := parityServer(t, 1)
+	srv := parityServer(t, false)
 	good, err := wire.EncodeRecords(obsRecs(0, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -178,4 +197,98 @@ func TestBinaryIngestMalformed(t *testing.T) {
 	if w.Code != 200 {
 		t.Fatalf("parameterized content type: %d %s", w.Code, w.Body)
 	}
+}
+
+// TestIngestFlushConflict pins the 409 contract for records a flush drops.
+// The response body is checked on a constructed conflict; then concurrent
+// JSON and binary batches give the same fresh nodes contradicting
+// categories, so each batch either lands, stops at a per-index 422, or
+// loses nodes at its flush (409) — and in every case the acknowledged
+// counts ("ingested" of a 200 or 422, "applied" of a 409) sum to the
+// job's draws.
+func TestIngestFlushConflict(t *testing.T) {
+	type conflictDoc struct {
+		Applied, Dropped, Total int
+		Index                   *int
+	}
+	for _, fc := range []*stream.FlushConflictError{
+		{Applied: 3, Dropped: 2},
+		{Applied: 3, Dropped: 2, Err: errors.New("bad record")},
+	} {
+		total := fc.Applied + fc.Dropped + 1
+		w := httptest.NewRecorder()
+		writeIngestError(w, fc.Applied, total, fc)
+		var doc conflictDoc
+		mustDecode(t, w.Body.Bytes(), &doc)
+		if w.Code != http.StatusConflict || doc.Applied != 3 || doc.Dropped != 2 || doc.Total != total ||
+			(doc.Index != nil) != (fc.Err != nil) || (doc.Index != nil && *doc.Index != 5) {
+			t.Fatalf("conflict response %d %s", w.Code, w.Body)
+		}
+	}
+
+	srv := parityServer(t, false)
+	const rounds, callers, perBatch = 40, 4, 200
+	var mu sync.Mutex
+	acked := 0
+	codes := map[int]int{}
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			recs := make([]sample.NodeObservation, perBatch)
+			for i := range recs {
+				recs[i] = sample.NodeObservation{Node: int32(r*perBatch + i), Cat: int32(c % 2)}
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var w *httptest.ResponseRecorder
+				if c < callers/2 {
+					body, err := wire.EncodeRecords(recs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					req := httptest.NewRequest("POST", "/ingest", bytes.NewReader(body))
+					req.Header.Set("Content-Type", wire.RecordsContentType)
+					w = httptest.NewRecorder()
+					srv.ServeHTTP(w, req)
+				} else {
+					body, err := json.Marshal(recs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					w = httptest.NewRecorder()
+					srv.ServeHTTP(w, httptest.NewRequest("POST", "/ingest", bytes.NewReader(body)))
+				}
+				var doc struct {
+					Ingested, Applied, Dropped int
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+					t.Errorf("decode %s: %v", w.Body, err)
+					return
+				}
+				n := doc.Ingested
+				switch w.Code {
+				case http.StatusOK, http.StatusUnprocessableEntity:
+				case http.StatusConflict:
+					if doc.Dropped < 1 || doc.Applied+doc.Dropped > perBatch {
+						t.Errorf("409 body %s", w.Body)
+					}
+					n = doc.Applied
+				default:
+					t.Errorf("unexpected response %d %s", w.Code, w.Body)
+				}
+				mu.Lock()
+				acked += n
+				codes[w.Code]++
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+	}
+	if draws := srv.def.Acc().Draws(); draws != acked {
+		t.Fatalf("draws = %d, want the acknowledged %d (responses %v)", draws, acked, codes)
+	}
+	t.Logf("responses by status: %v", codes)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/job"
 	"repro/internal/sample"
+	"repro/internal/stream"
 )
 
 func do(t *testing.T, srv http.Handler, method, path, body string) *httptest.ResponseRecorder {
@@ -105,6 +106,26 @@ func TestJobsAPILifecycle(t *testing.T) {
 	mustDecode(t, w.Body.Bytes(), &doc)
 	if doc["k"] != float64(3) || doc["scenario"] != scenarioName(false) {
 		t.Fatalf("beta doc = %+v", doc)
+	}
+	// The retired "shards" key is accepted and ignored: the engine follows
+	// the scenario.
+	for body, epoch := range map[string]bool{
+		`{"name":"gamma","shards":4}`:              true,
+		`{"name":"gamma","star":false,"shards":1}`: false,
+	} {
+		if w := post(t, srv, "/jobs", body); w.Code != 201 {
+			t.Fatalf("create %s: %d %s", body, w.Code, w.Body)
+		}
+		g, err := srv.jobs.Get("gamma")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := g.Acc().(*stream.EpochAccumulator); ok != epoch {
+			t.Fatalf("%s: engine %T", body, g.Acc())
+		}
+		if w := do(t, srv, "DELETE", "/jobs/gamma", ""); w.Code != 200 {
+			t.Fatalf("delete gamma: %d %s", w.Code, w.Body)
+		}
 	}
 
 	mustDecode(t, get(t, srv, "/jobs").Body.Bytes(), &list)

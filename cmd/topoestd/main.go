@@ -17,21 +17,21 @@
 //	-addr        listen address (default :8723)
 //	-k           number of categories (required unless -names or -demo)
 //	-names       comma-separated category names (sets -k)
-//	-star        measurement scenario: star (default) or induced (=false)
-//	-shards      ingest concurrency mode (the flag name survives from the
-//	             retired lock-sharded design): 1 = the single-lock
-//	             accumulator (default); > 1 builds the epoch-merged
-//	             accumulator, whose writers fill private local epochs and
-//	             fold them into the published view exactly at flush
-//	             (multi-core ingest, star scenario only)
-//	-flush-interval  with -shards > 1, defer publishing ingested records
-//	             to a background flusher with this period (e.g. 200ms).
-//	             The default 0 flushes before every /ingest response, so
-//	             an acknowledged record is visible to the next /estimate;
+//	-star        measurement scenario: star (default) or induced (=false).
+//	             The scenario picks the ingest engine: star streams run the
+//	             epoch-merged accumulator, whose writers fill private local
+//	             epochs and fold them into the published view exactly at
+//	             flush (multi-core ingest); induced streams run the
+//	             single-lock accumulator
+//	-flush-interval  star jobs: defer publishing ingested records to a
+//	             background flusher with this period (e.g. 200ms). The
+//	             default 0 flushes before every /ingest response, so an
+//	             acknowledged record is visible to the next /estimate;
 //	             > 0 trades that read-your-writes visibility for zero
 //	             flush work on the request path — acknowledged records
-//	             are durable in the daemon but appear in /estimate only
-//	             after the next background flush
+//	             are held in process memory until the next background
+//	             flush (and reach a checkpoint only after it), so a crash
+//	             before then loses them
 //	-N           population size |V|; 0 = unknown → relative sizes, with the
 //	             §4.3 collision estimate of N reported alongside
 //	-size        size estimator: auto|induced|star|star-pooled
@@ -103,7 +103,7 @@
 //	POST   /jobs             create a job. Body: {"name":"eu-crawl"} plus
 //	                         optional overrides of the daemon's flag
 //	                         defaults — "k", "names", "star", "n", "size",
-//	                         "shards", "bootstrap", "bootstrap_seed". With
+//	                         "bootstrap", "bootstrap_seed". With
 //	                         -checkpoint-dir, a job whose checkpoint file
 //	                         already exists resumes from it (the persisted
 //	                         identity — k, star, bootstrap — must match:
@@ -134,7 +134,9 @@
 //	GET  /categorygraph.tsv  the estimate as a category-graph TSV (the same
 //	                         format cmd/topoest emits)
 //	GET  /healthz            liveness plus build/workload context: status,
-//	                         draws, distinct, accumulator mode, uptime, Go
+//	                         draws, distinct, accumulator mode of the
+//	                         default job (epoch-merged for star,
+//	                         single-lock for induced), uptime, Go
 //	                         version, goroutine count, build info, the
 //	                         cumulative ingest/crawl counters, and a "jobs"
 //	                         section with each job's stream position, crawl
@@ -177,11 +179,10 @@
 // uncategorized. Star neighbor data may ride on every record of a node
 // (concurrent crawlers) — the first to arrive is recorded and identical
 // re-deliveries pass, but a record whose cat, explicit weight, or star
-// data contradicts the node's first observation is rejected. With
-// -shards > 1, POST /ingest validates and accumulates each batch in a
-// writer-private local epoch in record order and — unless -flush-interval
-// defers it — flushes the epoch into the published estimate before
-// responding.
+// data contradicts the node's first observation is rejected. For star jobs
+// POST /ingest validates and accumulates each batch in a writer-private
+// local epoch in record order and — unless -flush-interval defers it —
+// flushes the epoch into the published estimate before responding.
 //
 // # Ingest error semantics and the retry-safe protocol
 //
@@ -205,9 +206,26 @@
 // discard the record at index "index", and resend the rest. Idempotent
 // replay is not provided by the server; exactly-once ingestion is the
 // client's contract to keep. Under -flush-interval > 0 "applied" means
-// durable in the daemon's local epoch: the prefix is validated, counted
-// and cannot be lost, but it reaches /estimate only at the next
-// background flush.
+// accepted into the daemon's local epoch: the prefix is validated and
+// counted, but it lives only in process memory until the next background
+// flush publishes it to /estimate and the next checkpoint after that makes
+// it durable. A graceful shutdown flushes it; a crash (SIGKILL) before the
+// flush loses it.
+//
+// # Flush conflicts (HTTP 409)
+//
+// Records of a star job validate against the node constants known when
+// they arrive. If a concurrent writer fixes one of their nodes' constants
+// (category, weight, star data) to contradicting values before this
+// request's flush, the request's draws of that node are dropped at the
+// flush and counted under stream_ingest_rejected_total{reason=
+// "flush_conflict"}. The request then fails with HTTP 409 and the body
+//
+//	{"error":"…", "applied":A, "dropped":D, "total":M}
+//
+// where A records were applied and D dropped. The drops are per node, not a
+// prefix, so there is no retry index; if the batch also stopped at an
+// invalid record, "index" (= A + D) names it as in a 422.
 package main
 
 import (
@@ -251,7 +269,6 @@ type cli struct {
 	k          int
 	names      string
 	star       bool
-	shards     int
 	flushEvery time.Duration
 	popN       float64
 	size       string
@@ -301,8 +318,7 @@ func main() {
 	flag.IntVar(&c.k, "k", 0, "number of categories")
 	flag.StringVar(&c.names, "names", "", "comma-separated category names (sets -k)")
 	flag.BoolVar(&c.star, "star", true, "star scenario (false = induced subgraph)")
-	flag.IntVar(&c.shards, "shards", 1, "ingest concurrency: 1 = single-lock accumulator, >1 = epoch-merged multi-core ingest (star only)")
-	flag.DurationVar(&c.flushEvery, "flush-interval", 0, "with -shards > 1: defer publishing ingested records to a background flusher with this period (0 = flush before every /ingest response)")
+	flag.DurationVar(&c.flushEvery, "flush-interval", 0, "star jobs: defer publishing ingested records to a background flusher with this period (0 = flush before every /ingest response)")
 	flag.Float64Var(&c.popN, "N", 0, "population size |V| (0 = unknown, relative sizes)")
 	flag.StringVar(&c.size, "size", "auto", "size estimator: auto|induced|star|star-pooled")
 	flag.IntVar(&c.boot, "bootstrap", 0, "streaming-bootstrap replicates for /estimate?ci= intervals (0 = off)")
@@ -344,22 +360,6 @@ func main() {
 	}
 }
 
-// newIngester builds the configured accumulator: the single-lock one at
-// exactly 1 shard, the epoch-merged one above that (writers accumulate in
-// private local epochs folded into the published view exactly at flush —
-// the exact shard count is irrelevant there, only the mode switch
-// matters). A shard count below 1 is a misconfiguration and fails startup
-// loudly rather than silently degrading to the single lock.
-func newIngester(cfg stream.Config, shards int) (stream.Ingester, error) {
-	switch {
-	case shards < 1:
-		return nil, fmt.Errorf("need -shards ≥ 1, got %d", shards)
-	case shards == 1:
-		return stream.NewAccumulator(cfg)
-	}
-	return stream.NewEpochAccumulator(cfg, 0)
-}
-
 func (c *cli) run() error {
 	logger, err := newLogger(c.logFormat, c.logLevel)
 	if err != nil {
@@ -383,9 +383,6 @@ func (c *cli) run() error {
 	if c.flushEvery < 0 {
 		return fmt.Errorf("need -flush-interval ≥ 0, got %v", c.flushEvery)
 	}
-	if c.flushEvery > 0 && c.shards <= 1 {
-		return fmt.Errorf("-flush-interval needs the epoch-merged accumulator; combine it with -shards > 1")
-	}
 	if c.checkpointInterval <= 0 {
 		return fmt.Errorf("need -checkpoint-interval > 0, got %v", c.checkpointInterval)
 	}
@@ -402,8 +399,8 @@ func (c *cli) run() error {
 		if c.boot != 0 {
 			return fmt.Errorf("-bootstrap has no effect on a coordinator: it adopts the workers' bootstrap configuration (drop the flag)")
 		}
-		if c.shards > 1 || c.flushEvery > 0 {
-			return fmt.Errorf("-shards and -flush-interval configure the ingest path; a coordinator does not ingest")
+		if c.flushEvery > 0 {
+			return fmt.Errorf("-flush-interval configures the ingest path; a coordinator does not ingest")
 		}
 		if c.checkpointDir != "" {
 			return fmt.Errorf("-checkpoint-dir has no effect on a coordinator: its durable state lives on the workers it polls")
@@ -427,7 +424,7 @@ func (c *cli) run() error {
 	reg.SetMaxFrames(c.checkpointMaxF)
 	def, err := reg.Create(job.Spec{
 		Name: job.DefaultName, K: k, Names: names, Star: c.star, N: c.popN,
-		Size: c.size, Shards: c.shards, Bootstrap: bc.B, BootstrapSeed: bc.Seed,
+		Size: c.size, Bootstrap: bc.B, BootstrapSeed: bc.Seed,
 	})
 	if err != nil {
 		return err
@@ -589,7 +586,7 @@ func (c *cli) runCrawlMode(method core.SizeMethod, bc uncert.Config) error {
 	reg.SetMaxFrames(c.checkpointMaxF)
 	def, err := reg.Create(job.Spec{
 		Name: job.DefaultName, K: src.NumCategories(), Names: names, Star: c.star,
-		N: float64(src.NumNodes()), Size: c.size, Shards: c.shards,
+		N: float64(src.NumNodes()), Size: c.size,
 		Bootstrap: bc.B, BootstrapSeed: bc.Seed,
 	})
 	if err != nil {
@@ -806,13 +803,8 @@ func newServer(acc stream.Ingester, names []string) *server {
 // adoptSpec reverse-engineers a job spec from a pre-built accumulator.
 func adoptSpec(acc stream.Ingester) job.Spec {
 	cfg := acc.Config()
-	shards := 1
-	if _, ok := acc.(*stream.EpochAccumulator); ok {
-		shards = 2
-	}
 	return job.Spec{
-		Name: job.DefaultName, K: cfg.K, Star: cfg.Star, N: cfg.N,
-		Size: cfg.Size.String(), Shards: shards,
+		Name: job.DefaultName, K: cfg.K, Star: cfg.Star, N: cfg.N, Size: cfg.Size.String(),
 		Bootstrap: cfg.Replicates.B, BootstrapSeed: cfg.Replicates.Seed,
 	}
 }
@@ -1046,15 +1038,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job
 	}
 	n, err := s.ingestRecords(j, recs)
 	j.NoteIngest(n, len(body), t0)
-	if errors.Is(err, stream.ErrReadOnly) {
-		httpError(w, http.StatusForbidden, "this daemon is a merge coordinator; ingest on the workers it polls")
-		return
-	}
 	if err != nil {
-		// The first n records stay applied and record n is the offender;
-		// the body carries both so a retrying client can resend only the
-		// remainder (see package doc).
-		ingestError(w, n, len(recs), n, "%v", err)
+		writeIngestError(w, n, len(recs), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1093,12 +1078,8 @@ func (s *server) handleIngestBinary(w http.ResponseWriter, j *job.Job, body []by
 	}
 	n, err := s.ingestStream(j, it)
 	j.NoteIngest(n, len(body), t0)
-	if errors.Is(err, stream.ErrReadOnly) {
-		httpError(w, http.StatusForbidden, "this daemon is a merge coordinator; ingest on the workers it polls")
-		return
-	}
 	if err != nil {
-		ingestError(w, n, it.Len(), n, "%v", err)
+		writeIngestError(w, n, it.Len(), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1110,31 +1091,37 @@ func (s *server) handleIngestBinary(w http.ResponseWriter, j *job.Job, body []by
 // scratch, which every ingest path copies before retaining. Epoch-merged
 // jobs ingest through a pooled writer-private local — flushed before the
 // response unless deferred-flush mode owns publishing, exactly mirroring
-// ingestRecords — and the single-lock accumulator takes records directly.
+// ingestRecords and EpochAccumulator.IngestBatch, including the
+// *stream.FlushConflictError for records the flush drops — and the
+// single-lock accumulator takes records directly.
 func (s *server) ingestStream(j *job.Job, it *wire.RecordIter) (int, error) {
 	var rec sample.NodeObservation
-	if l := j.TakeLocal(); l != nil {
-		defer j.PutLocal(l)
+	l := j.TakeLocal()
+	if l == nil {
+		acc := j.Acc()
 		for i := 0; it.Next(&rec); i++ {
-			if err := l.Ingest(rec); err != nil {
-				if s.flushStop == nil {
-					l.Flush() // publish the valid prefix the 422 acknowledges
-				}
+			if err := acc.Ingest(rec); err != nil {
 				return i, err
 			}
 		}
-		if s.flushStop == nil {
-			l.Flush()
-		}
 		return it.Len(), nil
 	}
-	acc := j.Acc()
-	for i := 0; it.Next(&rec); i++ {
-		if err := acc.Ingest(rec); err != nil {
-			return i, err
+	defer j.PutLocal(l)
+	n := 0
+	var err error
+	for ; it.Next(&rec); n++ {
+		if err = l.Ingest(rec); err != nil {
+			break
 		}
 	}
-	return it.Len(), nil
+	if s.flushStop != nil {
+		return n, err
+	}
+	applied, dropped := l.Flush()
+	if dropped > 0 {
+		return applied, &stream.FlushConflictError{Applied: applied, Dropped: dropped, Err: err}
+	}
+	return applied, err
 }
 
 // ingestRecords applies one request's batch to the job's stream. Normally
@@ -1143,9 +1130,9 @@ func (s *server) ingestStream(j *job.Job, it *wire.RecordIter) (int, error) {
 // visibility, exactly like the single-lock path). In deferred-flush mode
 // the records accumulate in a borrowed writer-private local of the job
 // instead and the background ticker publishes them later; the valid-prefix
-// contract is unchanged — on error the first n records are durably recorded
-// in the local's epoch — but "draws" in the response and /estimate lag
-// until the next flush.
+// contract is unchanged — on error the first n records are held in the
+// local's epoch — but "draws" in the response and /estimate lag until the
+// next flush, and flush conflicts are only logged by the flusher.
 func (s *server) ingestRecords(j *job.Job, recs []sample.NodeObservation) (int, error) {
 	if s.flushStop != nil {
 		if l := j.TakeLocal(); l != nil {
@@ -1159,6 +1146,35 @@ func (s *server) ingestRecords(j *job.Job, recs []sample.NodeObservation) (int, 
 		}
 	}
 	return j.Acc().IngestBatch(recs)
+}
+
+// writeIngestError answers a failed /ingest of total records of which n
+// were applied: 403 on a read-only coordinator, 409 for records a flush
+// dropped, and the 422 valid-prefix body otherwise.
+func writeIngestError(w http.ResponseWriter, n, total int, err error) {
+	var fc *stream.FlushConflictError
+	switch {
+	case errors.Is(err, stream.ErrReadOnly):
+		httpError(w, http.StatusForbidden, "this daemon is a merge coordinator; ingest on the workers it polls")
+	case errors.As(err, &fc):
+		body := map[string]any{
+			"error":   fmt.Sprintf("applied %d of %d records: %v", fc.Applied, total, fc),
+			"applied": fc.Applied,
+			"dropped": fc.Dropped,
+			"total":   total,
+		}
+		if fc.Err != nil {
+			body["index"] = fc.Applied + fc.Dropped
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusConflict)
+		json.NewEncoder(w).Encode(body)
+	default:
+		// The first n records stay applied and record n is the offender;
+		// the body carries both so a retrying client can resend only the
+		// remainder (see package doc).
+		ingestError(w, n, total, n, "%v", err)
+	}
 }
 
 // ingestError writes the structured /ingest error body: the human-readable
@@ -1673,7 +1689,6 @@ type jobReq struct {
 	Star          *bool    `json:"star"`
 	N             *float64 `json:"n"`
 	Size          *string  `json:"size"`
-	Shards        *int     `json:"shards"`
 	Bootstrap     *int     `json:"bootstrap"`
 	BootstrapSeed *uint64  `json:"bootstrap_seed"`
 }
@@ -1698,9 +1713,6 @@ func (req *jobReq) apply(tmpl job.Spec) job.Spec {
 	}
 	if req.Size != nil {
 		spec.Size = *req.Size
-	}
-	if req.Shards != nil {
-		spec.Shards = *req.Shards
 	}
 	if req.Bootstrap != nil {
 		spec.Bootstrap = *req.Bootstrap

@@ -20,6 +20,7 @@ import (
 	"repro/internal/crawl"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/job"
 	"repro/internal/randx"
 	"repro/internal/sample"
 	"repro/internal/stream"
@@ -226,21 +227,26 @@ func TestIngestErrorReportsAppliedCount(t *testing.T) {
 	}
 }
 
-// TestEpochServer runs the HTTP surface over an EpochAccumulator: the
-// -shards > 1 path accumulates /ingest batches in writer-private epochs,
-// flushes them before responding, and the estimate matches the batch
-// pipeline.
+// TestEpochServer runs the HTTP surface the way the daemon builds it: the
+// registry picks the engine from the scenario, so a star job runs the
+// EpochAccumulator — /ingest batches accumulate in writer-private epochs
+// and flush before the response, and the estimate matches the batch
+// pipeline — while an induced job runs the single-lock accumulator.
 func TestEpochServer(t *testing.T) {
 	g := mustDemoGraph(t)
 	N := float64(g.N())
-	acc, err := newIngester(stream.Config{K: g.NumCategories(), Star: true, N: N}, 4)
+	reg, err := job.NewRegistry("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := acc.(*stream.EpochAccumulator); !ok {
-		t.Fatalf("newIngester(4 shards) = %T, want *stream.EpochAccumulator", acc)
+	def, err := reg.Create(job.Spec{Name: job.DefaultName, K: g.NumCategories(), Names: g.CategoryNames(), Star: true, N: N})
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := newServer(acc, g.CategoryNames())
+	if _, ok := def.Acc().(*stream.EpochAccumulator); !ok {
+		t.Fatalf("star job engine = %T, want *stream.EpochAccumulator", def.Acc())
+	}
+	srv := newServerWithJobs(reg, def)
 	s, err := sample.NewRW(200).Sample(randx.New(61), g, 3000)
 	if err != nil {
 		t.Fatal(err)
@@ -286,17 +292,17 @@ func TestEpochServer(t *testing.T) {
 	if health["accumulator"] != "epoch-merged" {
 		t.Fatalf("healthz accumulator = %v, want epoch-merged", health["accumulator"])
 	}
-	// Induced + epoch ingest is rejected at construction.
-	if _, err := newIngester(stream.Config{K: 3, Star: false}, 4); err == nil {
-		t.Fatal("expected error for induced epoch ingester")
+	ireg, err := job.NewRegistry("", 0, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if acc1, err := newIngester(stream.Config{K: 3, Star: false}, 1); err != nil || acc1 == nil {
-		t.Fatalf("single-shard induced ingester: %v", err)
+	idef, err := ireg.Create(job.Spec{Name: job.DefaultName, K: 3, Star: false})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A shard count below 1 fails startup instead of silently degrading to
-	// the single lock.
-	if _, err := newIngester(stream.Config{K: 3, Star: true}, 0); err == nil {
-		t.Fatal("expected error for -shards 0")
+	mustDecode(t, get(t, newServerWithJobs(ireg, idef), "/healthz").Body.Bytes(), &health)
+	if health["accumulator"] != "single-lock" {
+		t.Fatalf("induced healthz accumulator = %v, want single-lock", health["accumulator"])
 	}
 }
 
@@ -674,7 +680,7 @@ func TestEstimateCIEndpoint(t *testing.T) {
 func TestEpochServerCI(t *testing.T) {
 	acc, err := stream.NewEpochAccumulator(stream.Config{
 		K: 2, Star: true, N: 50, Replicates: uncert.Config{B: 16, Seed: 2},
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,7 +722,7 @@ func TestEpochServerCI(t *testing.T) {
 // contract survives deferral; and stopDeferredFlush performs a final flush
 // so nothing acknowledged is ever lost.
 func TestDeferredFlushIngest(t *testing.T) {
-	acc, err := stream.NewEpochAccumulator(stream.Config{K: 3, Star: true, N: 50}, 0)
+	acc, err := stream.NewEpochAccumulator(stream.Config{K: 3, Star: true, N: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,7 +788,7 @@ func TestDeferredFlushIngest(t *testing.T) {
 // /ingest response was received reflects at least those acknowledged
 // draws.
 func TestSnapshotFreshAfterAckedIngest(t *testing.T) {
-	acc, err := stream.NewEpochAccumulator(stream.Config{K: 2, Star: true}, 0)
+	acc, err := stream.NewEpochAccumulator(stream.Config{K: 2, Star: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -394,7 +394,7 @@ func TestMergeFaultInjection(t *testing.T) {
 // (NotifyContext → Shutdown → srv.shutdown) is exercised by raising a real
 // SIGTERM at a running listenAndServe.
 func TestGracefulShutdownFlushesDeferredLocals(t *testing.T) {
-	acc, err := stream.NewEpochAccumulator(stream.Config{K: 3, Star: true, N: 50}, 0)
+	acc, err := stream.NewEpochAccumulator(stream.Config{K: 3, Star: true, N: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

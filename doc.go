@@ -59,7 +59,9 @@
 // LocalAccumulator — no shared state per record — and a periodic Flush
 // merges the epoch's sufficient statistics into the published view
 // exactly, so concurrent ingest matches the single-lock estimate to
-// ≤ 1e-9 (star scenario).
+// ≤ 1e-9 (star scenario). The serving daemon and the crawl controller pick
+// the engine from the scenario: star streams run epoch-merged, induced
+// streams on the single-lock NewAccumulator.
 //
 // # Uncertainty
 //

@@ -104,18 +104,11 @@ type Config struct {
 	Seed uint64
 
 	// Star selects the measurement scenario. Under induced sampling the
-	// walkers share one observer (and the accumulator must be single-lock);
-	// under star sampling each walker observes independently and ingests
-	// through its own writer-local epoch.
+	// walkers share one observer and the single-lock accumulator; under
+	// star sampling each walker observes independently and, on an
+	// epoch-merged accumulator, ingests through its own writer-local epoch
+	// with no shared state on the per-draw path.
 	Star bool
-	// Shards > 1 builds an epoch-merged accumulator (star only): each
-	// walker then owns a stream.Local and the per-draw path touches no
-	// shared state. The exact value beyond 1 is irrelevant — the epoch
-	// design has no shard count — the field name survives from the retired
-	// hash-partitioned design. Ignored when an existing accumulator is
-	// passed to Start (pass an *stream.EpochAccumulator to get local
-	// ingest).
-	Shards int
 	// N is the population size |V| (0 = unknown, relative sizes).
 	N float64
 	// Size selects the category-size estimator.
@@ -263,8 +256,9 @@ type Crawl struct {
 
 // Start validates the configuration and launches the crawl. acc is the
 // accumulator the walkers stream into; nil builds one from the
-// configuration (single-lock, or epoch-merged when cfg.Shards > 1, with
-// one stream.Local per walker flushed at round barriers). Passing an
+// configuration (epoch-merged under star sampling, with one stream.Local
+// per walker flushed at round barriers; single-lock under induced
+// sampling). Passing an
 // existing accumulator lets a server keep serving live estimates from the
 // same statistics the crawl feeds — its scenario and category count must
 // match, and with EngineBootstrap and CI targets it must have bootstrap
@@ -283,12 +277,7 @@ func Start(src graph.Source, acc stream.Ingester, cfg Config) (*Crawl, error) {
 			scfg.Replicates = cfg.Bootstrap
 		}
 		var err error
-		if cfg.Shards > 1 {
-			acc, err = stream.NewEpochAccumulator(scfg, 0)
-		} else {
-			acc, err = stream.NewAccumulator(scfg)
-		}
-		if err != nil {
+		if acc, err = stream.New(scfg); err != nil {
 			return nil, err
 		}
 	} else {
@@ -418,12 +407,6 @@ func normalize(cfg *Config, k int) error {
 	}
 	if cfg.SizeTarget < 0 || cfg.WithinTarget < 0 {
 		return fmt.Errorf("crawl: CI half-width targets must be ≥ 0")
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > 1 && !cfg.Star {
-		return fmt.Errorf("crawl: epoch-merged (multi-writer) ingestion requires the star scenario")
 	}
 	if cfg.Engine == "" {
 		cfg.Engine = EngineBootstrap

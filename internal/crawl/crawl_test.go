@@ -41,7 +41,7 @@ func TestCrawlStopsOnTarget(t *testing.T) {
 		cfg  Config
 	}{
 		{"star/bootstrap", Config{
-			Walkers: 3, Star: true, Shards: 2, N: N, Seed: 5,
+			Walkers: 3, Star: true, N: N, Seed: 5,
 			Bootstrap:  uncert.Config{B: 80, Seed: 5},
 			SizeTarget: 180, SizeCats: []int{big},
 			MaxDraws: 60000, CheckEvery: 1500, BurnIn: 200,
@@ -229,14 +229,14 @@ func TestCrawlRoundAllocationFair(t *testing.T) {
 // TestCrawlDeterminism pins the reproducibility contract: same seed and
 // configuration ⇒ identical total and per-walker draw counts, identical
 // stop reason, and estimates equal to float-reassociation error, across
-// both scenarios (star runs sharded walkers, induced runs the shared
+// both scenarios (star runs epoch-local walkers, induced runs the shared
 // observer) and both engines.
 func TestCrawlDeterminism(t *testing.T) {
 	g := paperGraph(t)
 	N := float64(g.N())
 	cfgs := map[string]Config{
-		"star/bootstrap/sharded": {
-			Walkers: 4, Star: true, Shards: 4, N: N, Seed: 21,
+		"star/bootstrap/epoch": {
+			Walkers: 4, Star: true, N: N, Seed: 21,
 			Bootstrap:  uncert.Config{B: 50, Seed: 21},
 			SizeTarget: 200, SizeCats: []int{4},
 			MaxDraws: 40000, CheckEvery: 1200, BurnIn: 100,
@@ -338,7 +338,6 @@ func TestCrawlValidation(t *testing.T) {
 		"bad level":            {g, nil, Config{Level: 1.5, MaxDraws: 10}},
 		"bad engine":           {g, nil, Config{Engine: "magic", MaxDraws: 10}},
 		"replication needs ≥2": {g, nil, Config{Engine: EngineReplication, MaxDraws: 10}},
-		"sharded induced":      {g, nil, Config{Shards: 4, MaxDraws: 10}},
 		"unknown sampler":      {g, nil, Config{Sampler: "BFS", MaxDraws: 10}},
 		"WRW without weights":  {g, nil, Config{Sampler: SamplerWRW, MaxDraws: 10}},
 		"target cat out of range": {g, nil, Config{

@@ -59,8 +59,11 @@ func ValidName(s string) bool { return nameRe.MatchString(s) }
 // and the config payload persisted inside checkpoint frames. The identity
 // fields (K/Names-derived partition, Star, Bootstrap, BootstrapSeed) are
 // fixed for the life of the job's durable state: a restore under a different
-// identity is an error. The serving fields (N, Size, Shards) are
-// estimation- or execution-time choices and adopt the restart's values.
+// identity is an error. The serving fields (N, Size) are estimation-time
+// choices and adopt the restart's values. The ingest engine follows the
+// scenario (stream.New): star jobs run epoch-merged, induced jobs on the
+// single lock. Specs persisted before the engine was chosen this way may
+// carry a "shards" key, which decoding ignores.
 type Spec struct {
 	Name          string   `json:"name"`
 	K             int      `json:"k,omitempty"`
@@ -68,23 +71,18 @@ type Spec struct {
 	Star          bool     `json:"star"`
 	N             float64  `json:"n,omitempty"`
 	Size          string   `json:"size,omitempty"`
-	Shards        int      `json:"shards,omitempty"`
 	Bootstrap     int      `json:"bootstrap,omitempty"`
 	BootstrapSeed uint64   `json:"bootstrap_seed,omitempty"`
 }
 
 // normalize fills derived defaults in place: Names sets K, Size defaults to
-// auto, Shards to 1, and an enabled bootstrap gets the daemon's default
-// seed.
+// auto, and an enabled bootstrap gets the daemon's default seed.
 func (s *Spec) normalize() {
 	if len(s.Names) > 0 {
 		s.K = len(s.Names)
 	}
 	if s.Size == "" {
 		s.Size = "auto"
-	}
-	if s.Shards == 0 {
-		s.Shards = 1
 	}
 	if s.Bootstrap > 0 && s.BootstrapSeed == 0 {
 		s.BootstrapSeed = 1
@@ -101,9 +99,6 @@ func (s *Spec) validate() error {
 	}
 	if len(s.Names) > 0 && len(s.Names) != s.K {
 		return fmt.Errorf("job %q: %d names for %d categories", s.Name, len(s.Names), s.K)
-	}
-	if s.Shards < 1 {
-		return fmt.Errorf("job %q: need shards ≥ 1, got %d", s.Name, s.Shards)
 	}
 	if s.Bootstrap < 0 {
 		return fmt.Errorf("job %q: need bootstrap ≥ 0, got %d", s.Name, s.Bootstrap)

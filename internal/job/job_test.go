@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/crawl"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -33,17 +34,69 @@ func jobObs(i int) sample.NodeObservation {
 	return obs
 }
 
+// inducedObs is the induced-scenario counterpart of jobObs: the same node
+// sequence, with each edge {v, v+1 mod 31} reported once by the second draw
+// of v.
+func inducedObs(i int) sample.NodeObservation {
+	node := int32(i % 31)
+	obs := sample.NodeObservation{Node: node, Cat: node % 4, Weight: 1 + float64(node%6)/5}
+	if i >= 31 && i < 62 {
+		obs.Peers = []int32{(node + 1) % 31}
+	}
+	return obs
+}
+
 func ingestRange(t *testing.T, j *Job, lo, hi int) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
-		if err := j.Acc().Ingest(jobObs(i)); err != nil {
+		rec := jobObs(i)
+		if !j.Spec().Star {
+			rec = inducedObs(i)
+		}
+		if err := j.Acc().Ingest(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-func testSpec(name string, shards int) Spec {
-	return Spec{Name: name, K: 4, Star: true, N: 800, Shards: shards, Bootstrap: 24, BootstrapSeed: 7}
+func testSpec(name string) Spec {
+	return Spec{Name: name, K: 4, Star: true, N: 800, Bootstrap: 24, BootstrapSeed: 7}
+}
+
+// legacyCheckpoint writes the checkpoint file a star job left behind before
+// star jobs ran epoch-merged: its spec payload carries the retired "shards"
+// key and its state is a single-lock accumulator's ExportFull after records
+// [0, cut).
+func legacyCheckpoint(t *testing.T, dir, name string, cut int) {
+	t.Helper()
+	spec := testSpec(name)
+	spec.normalize()
+	cfg, err := spec.StreamConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := stream.NewAccumulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cut; i++ {
+		if err := acc.Ingest(jobObs(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := acc.ExportFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dir, name+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	payload := `{"name":"` + name + `","k":4,"star":true,"n":800,"size":"auto","shards":1,"bootstrap":24,"bootstrap_seed":7}`
+	if _, err := wire.AppendCheckpoint(f, &wire.Checkpoint{Name: name, Config: []byte(payload), Gen: fs.State.Gen, State: fs}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRegistryLifecycle(t *testing.T) {
@@ -58,11 +111,11 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, err := r.Create(Spec{Name: "nok", Star: true}); err == nil {
 		t.Error("created a job with no categories")
 	}
-	a, err := r.Create(testSpec("alpha", 1))
+	a, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Create(testSpec("alpha", 1)); !errors.Is(err, ErrExists) {
+	if _, err := r.Create(testSpec("alpha")); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate create: %v", err)
 	}
 	if _, err := r.Create(Spec{Name: "named", Names: []string{"x", "y", "z"}, Star: true}); err != nil {
@@ -117,29 +170,36 @@ func TestRegistryLifecycle(t *testing.T) {
 // TestRestartResume is the package-level durability contract: kill the
 // registry after a checkpoint, build a new one over the same directory, and
 // the job resumes — generation, estimates and bootstrap replicates — within
-// 1e-9 of a run that was never interrupted. Covered for the single-lock
-// design, the epoch design, and the cross-design restart (persisted under
-// shards=1, resumed under shards=4).
+// 1e-9 of a run that was never interrupted. Covered for an induced job
+// (single-lock engine), a star job (epoch engine), and the cross-design
+// restart: a star job checkpointed by the single-lock engine, under a spec
+// that still carries the retired "shards" key, resumes on the epoch engine
+// and also matches the batch estimator over the whole stream.
 func TestRestartResume(t *testing.T) {
 	const cut, end = 150, 300
 	cases := []struct {
-		name                 string
-		shardsOld, shardsNew int
+		name   string
+		star   bool
+		legacy bool
 	}{
-		{"single", 1, 1},
-		{"epoch", 4, 4},
-		{"cross", 1, 4},
+		{"single", false, false},
+		{"epoch", true, false},
+		{"cross", true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
+			spec := testSpec("alpha")
+			spec.Star = tc.star
 
 			// The uninterrupted baseline.
 			base, err := NewRegistry("", 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bj, err := base.Create(testSpec("ref", tc.shardsNew))
+			ref := spec
+			ref.Name = "ref"
+			bj, err := base.Create(ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,27 +210,34 @@ func TestRestartResume(t *testing.T) {
 			}
 
 			// First life: ingest the head, checkpoint via Shutdown.
-			r1, err := NewRegistry(dir, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j1, err := r1.Create(testSpec("alpha", tc.shardsOld))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ingestRange(t, j1, 0, cut)
-			if err := r1.Shutdown(); err != nil {
-				t.Fatal(err)
+			if tc.legacy {
+				legacyCheckpoint(t, dir, "alpha", cut)
+			} else {
+				r1, err := NewRegistry(dir, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j1, err := r1.Create(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ingestRange(t, j1, 0, cut)
+				if err := r1.Shutdown(); err != nil {
+					t.Fatal(err)
+				}
 			}
 
-			// Second life: same directory, serving shard count of the case.
+			// Second life: same directory.
 			r2, err := NewRegistry(dir, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			j2, err := r2.Create(testSpec("alpha", tc.shardsNew))
+			j2, err := r2.Create(spec)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if _, epoch := j2.Acc().(*stream.EpochAccumulator); epoch != tc.star {
+				t.Fatalf("restored engine %T for star=%v", j2.Acc(), tc.star)
 			}
 			if gen := j2.Acc().Gen(); gen != cut {
 				t.Fatalf("restored gen = %d, want %d", gen, cut)
@@ -202,6 +269,28 @@ func TestRestartResume(t *testing.T) {
 					t.Errorf("size[%d] %.17g vs %.17g", c, got.Result.Sizes[c], want.Result.Sizes[c])
 				}
 			}
+			if tc.legacy {
+				o := &sample.Observation{K: 4, Star: true}
+				for i := 0; i < end; i++ {
+					if err := o.Append(jobObs(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				oracle, err := core.Estimate(o, core.Options{N: 800})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := range oracle.Sizes {
+					if !close(got.Result.Sizes[c], oracle.Sizes[c]) {
+						t.Errorf("size[%d] %.17g vs batch %.17g", c, got.Result.Sizes[c], oracle.Sizes[c])
+					}
+				}
+				oracle.Weights.ForEach(func(x, y int32, w float64) {
+					if gw := got.Result.Weights.Get(x, y); math.IsNaN(gw) != math.IsNaN(w) || (!math.IsNaN(w) && !close(gw, w)) {
+						t.Errorf("weight(%d,%d) %.17g vs batch %.17g", x, y, gw, w)
+					}
+				})
+			}
 			if want.Boot != nil {
 				if got.Boot == nil {
 					t.Fatal("restored run lost its bootstrap replicates")
@@ -227,7 +316,7 @@ func TestRestartResume(t *testing.T) {
 func TestRestoreIdentityMismatch(t *testing.T) {
 	dir := t.TempDir()
 	r1, _ := NewRegistry(dir, 0, nil)
-	j, err := r1.Create(testSpec("alpha", 1))
+	j, err := r1.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,16 +326,16 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	}
 
 	bad := map[string]Spec{}
-	s := testSpec("alpha", 1)
+	s := testSpec("alpha")
 	s.K = 5
 	bad["k"] = s
-	s = testSpec("alpha", 1)
+	s = testSpec("alpha")
 	s.Star = false
 	bad["star"] = s
-	s = testSpec("alpha", 1)
+	s = testSpec("alpha")
 	s.Bootstrap = 0
 	bad["bootstrap-off"] = s
-	s = testSpec("alpha", 1)
+	s = testSpec("alpha")
 	s.BootstrapSeed = 99
 	bad["bootstrap-seed"] = s
 
@@ -258,7 +347,7 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	}
 
 	// Serving fields are free to change.
-	ok := testSpec("alpha", 1)
+	ok := testSpec("alpha")
 	ok.N = 123456
 	ok.Size = "star"
 	r, _ := NewRegistry(dir, 0, nil)
@@ -273,7 +362,7 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	r1, _ := NewRegistry(dir, 0, nil)
-	j, err := r1.Create(testSpec("alpha", 1))
+	j, err := r1.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +386,7 @@ func TestTornTailTruncation(t *testing.T) {
 	f.Close()
 
 	r2, _ := NewRegistry(dir, 0, nil)
-	j2, err := r2.Create(testSpec("alpha", 1))
+	j2, err := r2.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +410,7 @@ func TestTornTailTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r3, _ := NewRegistry(dir, 0, nil)
-	j3, err := r3.Create(testSpec("alpha", 1))
+	j3, err := r3.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,12 +425,14 @@ func TestTornTailTruncation(t *testing.T) {
 func TestDeferredLocals(t *testing.T) {
 	dir := t.TempDir()
 	r, _ := NewRegistry(dir, 0, nil)
-	j, err := r.Create(testSpec("alpha", 4))
+	j, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	single, _ := r.Create(testSpec("solo", 1))
+	solo := testSpec("solo")
+	solo.Star = false
+	single, _ := r.Create(solo)
 	if single.TakeLocal() != nil {
 		t.Error("single-lock job handed out a local")
 	}
@@ -379,7 +470,7 @@ func TestDeferredLocals(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2, _ := NewRegistry(dir, 0, nil)
-	j2, err := r2.Create(testSpec("alpha", 4))
+	j2, err := r2.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +487,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := r.Create(testSpec("alpha", 1))
+	j, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +534,7 @@ func TestCrawlSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := NewRegistry("", 0, nil)
-	spec := Spec{Name: "a", K: g.NumCategories(), Star: true, N: float64(g.N()), Shards: 4}
+	spec := Spec{Name: "a", K: g.NumCategories(), Star: true, N: float64(g.N())}
 	a, err := r.Create(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +622,7 @@ func TestCheckpointCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetMaxFrames(3)
-	j, err := r.Create(testSpec("alpha", 1))
+	j, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +684,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := r2.Create(testSpec("alpha", 1))
+	j2, err := r2.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,8 +715,8 @@ func TestRestoreAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := map[string]Spec{
-		"alpha": testSpec("alpha", 1),
-		"beta":  {Name: "beta", Names: []string{"w", "x", "y", "z"}, Star: true, Shards: 4, Bootstrap: 8, BootstrapSeed: 3},
+		"alpha": testSpec("alpha"),
+		"beta":  {Name: "beta", Names: []string{"w", "x", "y", "z"}, Star: true, Bootstrap: 8, BootstrapSeed: 3},
 	}
 	wantGen := map[string]uint64{"alpha": 90, "beta": 150}
 	for name, spec := range specs {
@@ -653,7 +744,7 @@ func TestRestoreAll(t *testing.T) {
 	}
 	// "alpha" is already registered (the daemon's default-create path);
 	// RestoreAll must only pick up what is missing.
-	if _, err := r2.Create(testSpec("alpha", 1)); err != nil {
+	if _, err := r2.Create(testSpec("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := r2.RestoreAll()

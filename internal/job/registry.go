@@ -145,29 +145,15 @@ func (r *Registry) build(spec Spec) (*Job, error) {
 		if err := spec.identityMatches(&persisted); err != nil {
 			return nil, err
 		}
-		if spec.Shards > 1 {
-			j.epoch, err = stream.RestoreEpochAccumulator(cfg, 0, cp.State)
-			j.acc = j.epoch
-		} else {
-			j.acc, err = stream.RestoreAccumulator(cfg, cp.State)
-		}
-		if err != nil {
+		if j.acc, err = stream.Restore(cfg, cp.State); err != nil {
 			return nil, fmt.Errorf("job %q: restore: %w", spec.Name, err)
 		}
 		j.ckptGen = cp.Gen
 		r.logger.Info("job restored", "job", spec.Name, "gen", cp.Gen, "distinct", cp.State.State.Distinct)
-	} else if spec.Shards > 1 {
-		j.epoch, err = stream.NewEpochAccumulator(cfg, 0)
-		j.acc = j.epoch
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", spec.Name, err)
-		}
-	} else {
-		j.acc, err = stream.NewAccumulator(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", spec.Name, err)
-		}
+	} else if j.acc, err = stream.New(cfg); err != nil {
+		return nil, fmt.Errorf("job %q: %w", spec.Name, err)
 	}
+	j.epoch, _ = j.acc.(*stream.EpochAccumulator)
 	return j, nil
 }
 

@@ -20,7 +20,7 @@ func BenchmarkObsCounterInc(b *testing.B) {
 }
 
 // BenchmarkObsCounterIncParallel is the contended case — the reason the
-// counter is striped: concurrent walkers and ingest shards must not
+// counter is striped: concurrent walkers and ingest writers must not
 // serialize on the instrumentation they share.
 func BenchmarkObsCounterIncParallel(b *testing.B) {
 	r := NewRegistry()

@@ -11,7 +11,7 @@
 //
 //  1. Hot-path updates are one atomic add. Counters are striped across
 //     cache lines (see Counter) so that concurrent writers — eight walkers,
-//     eight ingest shards — do not serialize on one contended word the way
+//     eight ingest writers — do not serialize on one contended word the way
 //     a naive shared counter would. Reads fold the stripes; monitoring
 //     reads are rare and may be microseconds, writes are per-record and
 //     must be nanoseconds.
@@ -64,7 +64,7 @@ func (k Kind) String() string {
 }
 
 // numStripes is the stripe count of a Counter: a power of two, sized to the
-// concurrency the benchmarks exercise (8 ingest shards, 8 walkers). More
+// concurrency the benchmarks exercise (8 ingest writers, 8 walkers). More
 // stripes cost memory (one cache line each), not time.
 const numStripes = 8
 

@@ -120,7 +120,7 @@ func TestEpochBootstrapMatchesSingle(t *testing.T) {
 	if _, err := single.IngestBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := NewEpochAccumulator(cfg, 0)
+	epoch, err := NewEpochAccumulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

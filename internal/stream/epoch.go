@@ -22,7 +22,7 @@ import (
 // cross-core cache-line traffic on the shard locks and counters cost more
 // than the partition saved. This design removes shared state from the
 // per-record path entirely. Each writer owns a Local that records draws
-// into private, writer-owned memory; a Flush (every FlushEvery records, at
+// into private, writer-owned memory; a Flush (every flushEvery records, at
 // a crawl round barrier, or at the end of an HTTP batch) folds the epoch
 // into the published view in two short phases:
 //
@@ -64,17 +64,20 @@ import (
 // writer counts the benchmarks exercise).
 const epochStripes = 64
 
-// defaultFlushEvery is the auto-flush threshold of a Local when the
-// accumulator was built with flushEvery = 0: large enough to amortize the
-// flush to noise, small enough to keep the published view fresh and the
-// epoch's node map cache-resident.
-const defaultFlushEvery = 1024
+// flushEvery is the auto-flush threshold of a Local in records: large
+// enough to amortize the flush to noise, small enough to keep the published
+// view fresh and the epoch's node map cache-resident. Callers that want
+// smaller epochs flush their Local explicitly.
+const flushEvery = 1024
 
 // sharedNode is the published per-node state in the accumulator's striped
 // directory: the per-node constants every epoch must agree on, the flushed
-// multiplicity, and the reconciled star data. Slices are replaced, never
-// mutated in place, so a reference read under the stripe lock stays valid
-// after release.
+// multiplicity, and the reconciled star data. Entries are never removed or
+// replaced, and cat and weight never change once published, so a
+// *sharedNode and its constants may be read without the stripe lock; the
+// multiplicity and star data are read and written under it. Slices are
+// replaced, never mutated in place, so a reference read under the stripe
+// lock stays valid after release.
 type sharedNode struct {
 	mult     float64
 	weight   float64
@@ -107,8 +110,7 @@ type nodeStripe struct {
 // are cross-referential — an edge's mass couples the live multiplicities of
 // two nodes — so induced streams must use the single-lock Accumulator.
 type EpochAccumulator struct {
-	cfg        Config
-	flushEvery int
+	cfg Config
 
 	stripes  [epochStripes]nodeStripe
 	distinct core.PaddedInt64
@@ -127,16 +129,8 @@ type EpochAccumulator struct {
 
 	// mu guards the published view: the merged sums and replicates, the
 	// collision scalars, and the convergence baseline.
-	mu         sync.Mutex
-	sums       *core.Sums
-	reps       *uncert.Replicates
-	psi1       float64
-	psiInv     float64
-	collisions float64
-	lastSizes  []float64
-	lastW      *core.PairWeights
-	lastDraws  float64
-	seq        int64
+	mu sync.Mutex
+	view
 
 	// pool recycles the internal Locals behind Ingest/IngestBatch so the
 	// compatibility path does not allocate an epoch (sums + replicate
@@ -146,10 +140,7 @@ type EpochAccumulator struct {
 
 // NewEpochAccumulator returns an empty epoch-merged accumulator. The
 // configuration must select the star scenario (see the type comment).
-// flushEvery is the auto-flush threshold of its Locals in records (0 means
-// 1024): larger epochs amortize the merge further, smaller ones publish
-// sooner.
-func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) {
+func NewEpochAccumulator(cfg Config) (*EpochAccumulator, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("stream: config needs K ≥ 1 categories, got %d", cfg.K)
 	}
@@ -159,16 +150,9 @@ func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) 
 	if !cfg.Star {
 		return nil, fmt.Errorf("stream: epoch-merged ingest requires the star scenario (induced edge masses couple nodes across epochs); use the single-lock Accumulator for induced streams")
 	}
-	if flushEvery < 0 {
-		return nil, fmt.Errorf("stream: need flushEvery ≥ 0, got %d", flushEvery)
-	}
-	if flushEvery == 0 {
-		flushEvery = defaultFlushEvery
-	}
 	ea := &EpochAccumulator{
-		cfg:        cfg,
-		flushEvery: flushEvery,
-		sums:       core.NewSums(cfg.K, true),
+		cfg:  cfg,
+		view: view{sums: core.NewSums(cfg.K, true)},
 	}
 	if cfg.Replicates.Enabled() {
 		reps, err := uncert.NewReplicates(cfg.K, true, cfg.Replicates)
@@ -217,46 +201,64 @@ func (ea *EpochAccumulator) stripeFor(node int32) *nodeStripe {
 // drop-in compatibility path for callers that need per-record acks. Bulk
 // writers should hold their own Local (NewLocal) instead and flush per
 // epoch. A record whose node lost a constants race against a concurrent
-// writer (first-writer-wins, as under the sharded design) is reported as a
-// redraw conflict.
+// writer (first-writer-wins) is dropped and reported as a
+// *FlushConflictError.
 func (ea *EpochAccumulator) Ingest(rec sample.NodeObservation) error {
-	l := ea.pool.Get().(*Local)
-	defer ea.pool.Put(l)
-	if err := l.Ingest(rec); err != nil {
-		return err
-	}
-	if _, dropped := l.Flush(); dropped > 0 {
-		return fmt.Errorf("stream: node %d lost a first-writer race on its per-node constants (category/weight/star data) against a concurrent writer", rec.Node)
-	}
-	return nil
+	_, err := ea.IngestBatch([]sample.NodeObservation{rec})
+	return err
 }
 
 // IngestBatch folds a batch in order through an internal Local — one epoch
 // per batch — stopping at the first invalid record and flushing what was
-// accepted. It returns how many leading records were accepted, which is the
-// retry index of the /ingest 422 protocol: recs[n] is the offender.
+// accepted. Without a flush conflict it returns how many leading records
+// were applied, which is the retry index of the /ingest 422 protocol:
+// recs[n] is the offender.
 //
-// Batch isolation under concurrency matches the sharded predecessor: a
-// node's constants are fixed by whichever writer lands it first, so whether
-// recs[n] validates can depend on interleaved writers. Additionally, under
-// the epoch design a whole batch's draws of one node are dropped at the
-// merge (and counted in stream_ingest_rejected_total{reason="flush_conflict"})
-// if that node's constants lost the race between this batch's validation
-// and its flush — the returned count then overcounts by the dropped
-// records. Conflicts a batch can see locally (against its own records or
-// the already-published directory) are still reported per index.
+// A node's constants are fixed by whichever writer lands it first, so
+// whether recs[n] validates can depend on interleaved writers. Conflicts a
+// batch can see locally (against its own records or the already-published
+// directory) are reported per index. A conflict that arises between this
+// batch's validation and its flush drops the batch's draws of that node at
+// the merge (counted in stream_ingest_rejected_total{reason="flush_conflict"});
+// IngestBatch then returns the number of records applied together with a
+// *FlushConflictError, whose counts cover the flushed records recs[:n+dropped]
+// and wrap the validation error of recs[n+dropped], if any.
 func (ea *EpochAccumulator) IngestBatch(recs []sample.NodeObservation) (int, error) {
 	l := ea.pool.Get().(*Local)
 	defer ea.pool.Put(l)
-	for i, rec := range recs {
-		if err := l.Ingest(rec); err != nil {
-			l.Flush()
-			return i, err
+	var err error
+	for _, rec := range recs {
+		if err = l.Ingest(rec); err != nil {
+			break
 		}
 	}
-	l.Flush()
-	return len(recs), nil
+	applied, dropped := l.Flush()
+	if dropped > 0 {
+		return applied, &FlushConflictError{Applied: applied, Dropped: dropped, Err: err}
+	}
+	return applied, err
 }
+
+// FlushConflictError reports records dropped at a flush: they validated
+// against their epoch, but before the flush published them a concurrent
+// writer fixed their node's per-node constants (category, weight or star
+// data) to contradicting values. Drops are per node, not a prefix of the
+// flushed records. Err, when non-nil, is the validation error of the record
+// that stopped the batch after the flushed ones.
+type FlushConflictError struct {
+	Applied, Dropped int
+	Err              error
+}
+
+func (e *FlushConflictError) Error() string {
+	msg := fmt.Sprintf("stream: %d of %d records dropped at flush: their nodes' per-node constants (category/weight/star data) lost a first-writer race against a concurrent writer", e.Dropped, e.Applied+e.Dropped)
+	if e.Err != nil {
+		msg += "; the batch then stopped at an invalid record: " + e.Err.Error()
+	}
+	return msg
+}
+
+func (e *FlushConflictError) Unwrap() error { return e.Err }
 
 // Snapshot computes the current estimate from the published view in
 // O(K² + pairs). It sees exactly the flushed epochs — see the
@@ -265,50 +267,24 @@ func (ea *EpochAccumulator) Snapshot() (*Snapshot, error) {
 	defer mSnapshotSec.ObserveSince(time.Now())
 	ea.mu.Lock()
 	defer ea.mu.Unlock()
-	if ea.sums.Draws == 0 {
-		return nil, fmt.Errorf("stream: empty accumulator")
-	}
-	res, err := ea.sums.Estimate(core.Options{N: ea.cfg.N, Size: ea.cfg.Size})
-	if err != nil {
-		return nil, err
-	}
-	within, err := ea.sums.WithinWeightsStar(res.Sizes)
-	if err != nil {
-		return nil, err
-	}
-	ea.seq++
-	snap := &Snapshot{
-		Seq:         ea.seq,
-		Draws:       int(ea.sums.Draws),
-		Distinct:    int(ea.distinct.Load()),
-		Result:      res,
-		Within:      within,
-		PopEstimate: core.PopulationSizeFromSums(ea.sums.Draws, ea.psi1, ea.psiInv, ea.collisions),
-		Converge:    convergeFrom(res, ea.lastSizes, ea.lastW, int(ea.sums.Draws-ea.lastDraws)),
-	}
-	if ea.reps != nil {
-		snap.Boot = ea.reps.Snapshot(core.Options{N: ea.cfg.N, Size: ea.cfg.Size})
-	}
-	ea.lastSizes = append([]float64(nil), res.Sizes...)
-	ea.lastW = res.Weights
-	ea.lastDraws = ea.sums.Draws
-	return snap, nil
+	return ea.snapshot(ea.cfg, int(ea.distinct.Load()), "stream: empty accumulator")
 }
 
 // localNode is one node's epoch-private state: the draw count of this
-// epoch, the node's constants (snapshotted from the shared directory at
-// first touch, or fixed by the epoch's first record), and the epoch's
-// merged star view. nbrCat/nbrCnt reuse their backing arrays across epochs.
+// epoch, the node's constants (read from the shared directory at first
+// touch, or fixed by the epoch's first record), its directory entry when
+// one existed at first touch, and the epoch's merged star view.
+// nbrCat/nbrCnt reuse their backing arrays across epochs.
 type localNode struct {
-	node        int32
-	cat         int32
-	count       float64
-	weight      float64
-	sharedKnown bool
-	starSeen    bool
-	deg         float64
-	nbrCat      []int32
-	nbrCnt      []float64
+	node     int32
+	cat      int32
+	count    float64
+	weight   float64
+	shared   *sharedNode
+	starSeen bool
+	deg      float64
+	nbrCat   []int32
+	nbrCnt   []float64
 }
 
 // Local is a writer-private accumulator over one EpochAccumulator: Ingest
@@ -332,6 +308,10 @@ type Local struct {
 	// steady-state flush allocates nothing.
 	sums *core.Sums
 	reps *uncert.Replicates
+
+	// autoApplied/autoDropped count what auto-flushes published since the
+	// last Flush call, so Flush accounts for every record since then.
+	autoApplied, autoDropped int
 
 	registered bool
 }
@@ -359,7 +339,7 @@ func init() {
 
 // NewLocal returns a new writer-private Local. The caller owns it: one
 // goroutine ingests, and Flush (or Close, when done) publishes. Locals
-// auto-flush after the accumulator's flushEvery records as a safety valve.
+// auto-flush after flushEvery (1024) records as a safety valve.
 func (ea *EpochAccumulator) NewLocal() *Local {
 	return ea.newLocal(true)
 }
@@ -403,23 +383,19 @@ func (l *Local) Close() (applied, dropped int) {
 	return applied, dropped
 }
 
-// lookupShared snapshots a node's published constants (ok=false when the
-// node is not in the directory yet). The snapshot is returned by value —
-// not as a fresh heap copy, which would cost one allocation per distinct
-// node per epoch on the ingest hot path — and its slices are safe to
-// reference after the stripe lock is released: directory slices are
-// replaced, never mutated.
-func (ea *EpochAccumulator) lookupShared(node int32) (sharedNode, bool) {
+// lookupShared returns a node's directory entry (nil when the node is not
+// in the directory yet) together with its star data, read under the stripe
+// lock. The entry's constants (cat, weight) are immutable and may be read
+// without the lock, and the returned slices stay valid after it is
+// released: directory slices are replaced, never mutated.
+func (ea *EpochAccumulator) lookupShared(node int32) (sh *sharedNode, starSeen bool, deg float64, nbrCat []int32, nbrCnt []float64) {
 	st := ea.stripeFor(node)
 	st.mu.Lock()
-	sh := st.nodes[node]
-	if sh == nil {
-		st.mu.Unlock()
-		return sharedNode{}, false
+	if sh = st.nodes[node]; sh != nil {
+		starSeen, deg, nbrCat, nbrCnt = sh.starSeen, sh.deg, sh.nbrCat, sh.nbrCnt
 	}
-	cp := *sh
 	st.mu.Unlock()
-	return cp, true
+	return sh, starSeen, deg, nbrCat, nbrCnt
 }
 
 // Ingest folds one node observation into the epoch. Validation matches the
@@ -446,21 +422,24 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 		w = 1
 	}
 	var ln *localNode
-	var shared sharedNode
-	var sharedOK bool
+	var shared *sharedNode
+	var shStar bool
+	var shDeg float64
+	var shCat []int32
+	var shCnt []float64
 	if idx, known := l.epoch[rec.Node]; known {
 		ln = &l.nodes[idx]
 	} else {
-		shared, sharedOK = l.ea.lookupShared(rec.Node)
+		shared, shStar, shDeg, shCat, shCnt = l.ea.lookupShared(rec.Node)
 	}
 	// The node's constants as this epoch knows them: from its earlier
-	// records, or from the directory snapshot just taken.
+	// records, or from the directory entry just read.
 	knownCat, knownWeight := rec.Cat, w
 	constrained := false
 	switch {
 	case ln != nil:
 		knownCat, knownWeight, constrained = ln.cat, ln.weight, true
-	case sharedOK:
+	case shared != nil:
 		knownCat, knownWeight, constrained = shared.cat, shared.weight, true
 	}
 	if constrained {
@@ -484,15 +463,11 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 			return reject("bad_star", "stream: %w", err)
 		}
 		cat, cnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
-		viewSeen := (ln != nil && ln.starSeen) || (ln == nil && sharedOK && shared.starSeen)
+		viewSeen := (ln != nil && ln.starSeen) || (ln == nil && shStar)
 		if viewSeen {
-			var vDeg float64
-			var vCat []int32
-			var vCnt []float64
+			vDeg, vCat, vCnt := shDeg, shCat, shCnt
 			if ln != nil {
 				vDeg, vCat, vCnt = ln.deg, ln.nbrCat, ln.nbrCnt
-			} else {
-				vDeg, vCat, vCnt = shared.deg, shared.nbrCat, shared.nbrCnt
 			}
 			d, ct, cn, err := sample.ReconcileStarData(rec.Node, rec.Deg, cat, cnt, vDeg, vCat, vCnt)
 			if err != nil {
@@ -517,13 +492,12 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 		ln = &l.nodes[n]
 		ln.node, ln.cat, ln.weight = rec.Node, knownCat, knownWeight
 		ln.count = 0
-		ln.sharedKnown = sharedOK
-		ln.starSeen = false
-		if sharedOK && shared.starSeen {
-			ln.starSeen = true
-			ln.deg = shared.deg
-			ln.nbrCat = append(ln.nbrCat[:0], shared.nbrCat...)
-			ln.nbrCnt = append(ln.nbrCnt[:0], shared.nbrCnt...)
+		ln.shared = shared
+		ln.starSeen = shStar
+		if shStar {
+			ln.deg = shDeg
+			ln.nbrCat = append(ln.nbrCat[:0], shCat...)
+			ln.nbrCnt = append(ln.nbrCnt[:0], shCnt...)
 		} else {
 			ln.deg = 0
 			ln.nbrCat = ln.nbrCat[:0]
@@ -540,8 +514,10 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 	ln.count++
 	l.recs++
 	l.pending.Store(int64(l.recs))
-	if l.recs >= l.ea.flushEvery {
-		l.Flush()
+	if l.recs >= flushEvery {
+		a, d := l.publish()
+		l.autoApplied += a
+		l.autoDropped += d
 	}
 	return nil
 }
@@ -550,11 +526,22 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 // shared directory (phase 1, striped locks), computes the epoch's batched
 // statistics against the reserved intervals in writer-private memory, and
 // merges them into the published view under one short critical section
-// (phase 2). It returns how many records were applied and how many were
-// dropped because their node's constants lost a first-writer race since the
-// epoch validated them (counted under reason "flush_conflict"). Flushing an
-// empty epoch is a cheap no-op.
+// (phase 2). It returns how many of the records ingested since the previous
+// Flush call were applied and how many were dropped because their node's
+// constants lost a first-writer race since the epoch validated them
+// (counted under reason "flush_conflict"); the counts include records an
+// auto-flush already published. Flushing an empty epoch is a cheap no-op.
 func (l *Local) Flush() (applied, dropped int) {
+	applied, dropped = l.publish()
+	applied += l.autoApplied
+	dropped += l.autoDropped
+	l.autoApplied, l.autoDropped = 0, 0
+	return applied, dropped
+}
+
+// publish folds the current epoch into the published view (see Flush) and
+// returns its applied and dropped record counts.
+func (l *Local) publish() (applied, dropped int) {
 	if l.recs == 0 {
 		return 0, 0
 	}
@@ -579,8 +566,13 @@ func (l *Local) Flush() (applied, dropped int) {
 		var retroCat []int32
 		var retroCnt []float64
 		st.mu.Lock()
-		sh, ok := st.nodes[ln.node]
-		if !ok {
+		sh := ln.shared
+		if sh == nil {
+			// Unknown at first touch; another writer may have published
+			// the node since.
+			sh = st.nodes[ln.node]
+		}
+		if sh == nil {
 			sh = &sharedNode{mult: c, weight: ln.weight, cat: ln.cat}
 			if ln.starSeen {
 				sh.starSeen = true

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -11,16 +12,13 @@ import (
 
 // TestEpochRequiresStar checks the constructor guards.
 func TestEpochRequiresStar(t *testing.T) {
-	if _, err := NewEpochAccumulator(Config{K: 3, Star: false}, 0); err == nil {
+	if _, err := NewEpochAccumulator(Config{K: 3, Star: false}); err == nil {
 		t.Fatal("expected error for induced epoch accumulator")
 	}
-	if _, err := NewEpochAccumulator(Config{K: 3, Star: true}, -1); err == nil {
-		t.Fatal("expected error for negative flushEvery")
-	}
-	if _, err := NewEpochAccumulator(Config{K: 0, Star: true}, 0); err == nil {
+	if _, err := NewEpochAccumulator(Config{K: 0, Star: true}); err == nil {
 		t.Fatal("expected error for K = 0")
 	}
-	ea, err := NewEpochAccumulator(Config{K: 3, Star: true}, 0)
+	ea, err := NewEpochAccumulator(Config{K: 3, Star: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func TestEpochMatchesSingleConcurrent(t *testing.T) {
 	if _, err := single.IngestBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: N}, 0)
+	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: N})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,7 @@ func TestEpochMatchesSingleConcurrent(t *testing.T) {
 // single-lock accumulator's retry contract: on error, exactly the leading
 // records before the offender are applied (one epoch, flushed on exit).
 func TestEpochBatchPrefixSemantics(t *testing.T) {
-	ea, err := NewEpochAccumulator(Config{K: 2, Star: true}, 0)
+	ea, err := NewEpochAccumulator(Config{K: 2, Star: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +206,7 @@ func TestEpochConvergenceAndSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: float64(g.N())}, 0)
+	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: float64(g.N())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +240,9 @@ func TestEpochConvergenceAndSeq(t *testing.T) {
 }
 
 // TestEpochLocalMatchesAccumulator pins the sequential one-writer case to
-// the single-lock accumulator: one Local with a small auto-flush threshold
-// (so the stream spans many epochs, exercising re-draws across epoch
-// boundaries) must reproduce the single-lock estimate to float-rounding.
+// the single-lock accumulator: one Local flushed every 64 records (so the
+// stream spans many epochs, exercising re-draws across epoch boundaries)
+// must reproduce the single-lock estimate to float-rounding.
 func TestEpochLocalMatchesAccumulator(t *testing.T) {
 	g := testGraph(t)
 	s, err := sample.NewRW(50).Sample(randx.New(8), g, 3000)
@@ -255,7 +253,7 @@ func TestEpochLocalMatchesAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: float64(g.N())}, 64)
+	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: float64(g.N())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +269,9 @@ func TestEpochLocalMatchesAccumulator(t *testing.T) {
 		}
 		if err := acc.Ingest(rec); err != nil {
 			t.Fatal(err)
+		}
+		if i%64 == 63 {
+			l.Flush()
 		}
 	}
 	if applied, dropped := l.Close(); dropped > 0 {
@@ -306,7 +307,7 @@ func TestEpochLocalMatchesAccumulator(t *testing.T) {
 // the epoch's own state), each caller gets an exact prefix count, and the
 // total draw count equals the sum of the returned counts. Run under -race.
 func TestEpochBatchCountExactUnderConcurrency(t *testing.T) {
-	ea, err := NewEpochAccumulator(Config{K: 2, Star: true}, 0)
+	ea, err := NewEpochAccumulator(Config{K: 2, Star: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,6 +364,109 @@ func TestEpochBatchCountExactUnderConcurrency(t *testing.T) {
 	}
 }
 
+// TestEpochFlushConflictDrops pins the flush-time conflict: two Locals
+// validate contradicting constants for one node against an empty
+// directory, the first flush publishes its record and the second flush
+// drops its own. Draws must equal the sum of the applied (acked) counts,
+// including records an auto-flush published before the explicit Flush.
+func TestEpochFlushConflictDrops(t *testing.T) {
+	ea, err := NewEpochAccumulator(Config{K: 2, Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := ea.NewLocal(), ea.NewLocal()
+	if err := first.Ingest(sample.NodeObservation{Node: 7, Cat: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Ingest(sample.NodeObservation{Node: 7, Cat: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Ingest(sample.NodeObservation{Node: 8, Cat: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a1, d1 := first.Flush()
+	a2, d2 := second.Flush()
+	if a1 != 1 || d1 != 0 || a2 != 1 || d2 != 1 {
+		t.Fatalf("flushes applied/dropped = %d/%d and %d/%d, want 1/0 and 1/1", a1, d1, a2, d2)
+	}
+	if ea.Draws() != a1+a2 {
+		t.Fatalf("Draws() = %d, want the acked %d", ea.Draws(), a1+a2)
+	}
+
+	// A conflict inside an auto-flushed epoch is still reported by the
+	// next Flush.
+	if err := second.Ingest(sample.NodeObservation{Node: 9, Cat: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Ingest(sample.NodeObservation{Node: 9, Cat: 0}); err != nil {
+		t.Fatal(err)
+	}
+	first.Flush()
+	for v := int32(100); v < 100+flushEvery; v++ {
+		if err := second.Ingest(sample.NodeObservation{Node: v, Cat: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if second.Pending() != 1 {
+		t.Fatalf("pending = %d after the auto-flush, want 1", second.Pending())
+	}
+	a3, d3 := second.Close()
+	if a3 != flushEvery || d3 != 1 {
+		t.Fatalf("close applied/dropped = %d/%d, want %d/1", a3, d3, flushEvery)
+	}
+	first.Close()
+	if want := a1 + a2 + 1 + a3; ea.Draws() != want {
+		t.Fatalf("Draws() = %d, want the acked %d", ea.Draws(), want)
+	}
+}
+
+// TestEpochIngestBatchReportsDrops races batches that give the same fresh
+// nodes contradicting categories. Whichever batch validates a node after
+// another batch published it stops with a per-index error; one that
+// validated first but flushed second loses the node at its flush and must
+// say so with a *FlushConflictError. Either way the returned counts are
+// what was applied: Draws equals their sum. Run under -race.
+func TestEpochIngestBatchReportsDrops(t *testing.T) {
+	ea, err := NewEpochAccumulator(Config{K: 2, Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, callers, perBatch = 50, 4, 200
+	var mu sync.Mutex
+	acked, conflicts := 0, 0
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			recs := make([]sample.NodeObservation, perBatch)
+			for i := range recs {
+				recs[i] = sample.NodeObservation{Node: int32(r*perBatch + i), Cat: int32(c % 2)}
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n, err := ea.IngestBatch(recs)
+				var fc *FlushConflictError
+				if errors.As(err, &fc) {
+					if fc.Applied != n || fc.Dropped < 1 {
+						t.Errorf("conflict error %+v with returned count %d", fc, n)
+					}
+				}
+				mu.Lock()
+				acked += n
+				if fc != nil {
+					conflicts++
+				}
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+	}
+	if ea.Draws() != acked {
+		t.Fatalf("Draws() = %d, want the sum of returned counts %d", ea.Draws(), acked)
+	}
+	t.Logf("%d of %d batches lost nodes at flush", conflicts, rounds*callers)
+}
+
 // TestGenMonotoneNonTorn checks the Gen/Draws contract on both
 // accumulators: the generation advances once per applied record (per
 // applied epoch record, for the epoch accumulator's auto-flushing Ingest),
@@ -373,7 +477,7 @@ func TestGenMonotoneNonTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := NewEpochAccumulator(Config{K: 2, Star: true}, 0)
+	epoch, err := NewEpochAccumulator(Config{K: 2, Star: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +541,7 @@ func TestGenMonotoneNonTorn(t *testing.T) {
 // empty epochs: flushing a fresh Local, double-flushing, and closing an
 // already-flushed Local are all cheap no-ops that do not advance Gen.
 func TestEpochFlushZeroPending(t *testing.T) {
-	ea, err := NewEpochAccumulator(Config{K: 2, Star: true}, 0)
+	ea, err := NewEpochAccumulator(Config{K: 2, Star: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +604,7 @@ func TestEpochLateStarAcrossLocals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ea, err := NewEpochAccumulator(Config{K: 2, Star: true, N: 100}, 0)
+		ea, err := NewEpochAccumulator(Config{K: 2, Star: true, N: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,7 +661,7 @@ func TestEpochSnapshotDuringMerge(t *testing.T) {
 		}
 		recs[i] = so.Observe(v, s.Weight(i))
 	}
-	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: float64(g.N())}, 0)
+	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: float64(g.N())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,18 +73,18 @@ func newStateShell(cfg Config, withReps bool, repPairs int) (*stateShell, error)
 	return sh, nil
 }
 
-// copyFrom is the locked half: flat copies of the source sums, scalars and
+// copyFrom is the locked half: flat copies of the view's sums, scalars and
 // replicate state into the pre-allocated shell. The caller holds whatever
-// mutex makes (sums, reps, scalars, gen) mutually consistent.
-func (sh *stateShell) copyFrom(sums *core.Sums, reps *uncert.Replicates, gen uint64, distinct int64, psi1, psiInv, collisions float64) error {
+// mutex makes the view and gen mutually consistent.
+func (sh *stateShell) copyFrom(v *view, gen uint64, distinct int64) error {
 	sh.st.Gen = gen
 	sh.st.Distinct = distinct
-	sh.st.Psi1, sh.st.PsiInv, sh.st.Collisions = psi1, psiInv, collisions
-	if err := sh.st.Sums.CopyFrom(sums); err != nil {
+	sh.st.Psi1, sh.st.PsiInv, sh.st.Collisions = v.psi1, v.psiInv, v.collisions
+	if err := sh.st.Sums.CopyFrom(v.sums); err != nil {
 		return err
 	}
-	if sh.reps != nil && reps != nil {
-		if err := sh.reps.CopyFrom(reps); err != nil {
+	if sh.reps != nil && v.reps != nil {
+		if err := sh.reps.CopyFrom(v.reps); err != nil {
 			return err
 		}
 		sh.st.Reps = sh.reps
@@ -115,7 +115,7 @@ func (a *Accumulator) Export() (*State, error) {
 		return nil, err
 	}
 	a.mu.Lock()
-	err = sh.copyFrom(a.sums, a.reps, a.gen.Load(), int64(len(a.nodes)), a.psi1, a.psiInv, a.collisions)
+	err = sh.copyFrom(&a.view, a.gen.Load(), int64(len(a.nodes)))
 	a.mu.Unlock()
 	if err != nil {
 		// Impossible by construction: the shell shares cfg.K and scenario.
@@ -146,7 +146,7 @@ func (ea *EpochAccumulator) Export() (*State, error) {
 		return nil, err
 	}
 	ea.mu.Lock()
-	err = sh.copyFrom(ea.sums, ea.reps, ea.gen.Load(), ea.distinct.Load(), ea.psi1, ea.psiInv, ea.collisions)
+	err = sh.copyFrom(&ea.view, ea.gen.Load(), ea.distinct.Load())
 	ea.mu.Unlock()
 	if err != nil {
 		panic(err)

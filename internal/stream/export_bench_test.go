@@ -29,7 +29,7 @@ func BenchmarkExportDuringIngest(b *testing.B) {
 				if mode == "single" {
 					acc, err = NewAccumulator(cfg)
 				} else {
-					acc, err = NewEpochAccumulator(cfg, 64)
+					acc, err = NewEpochAccumulator(cfg)
 				}
 				if err != nil {
 					b.Fatal(err)

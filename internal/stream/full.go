@@ -74,7 +74,7 @@ func (a *Accumulator) ExportFull() (*FullState, error) {
 		return nil, err
 	}
 	a.mu.Lock()
-	err = sh.copyFrom(a.sums, a.reps, a.gen.Load(), int64(len(a.nodes)), a.psi1, a.psiInv, a.collisions)
+	err = sh.copyFrom(&a.view, a.gen.Load(), int64(len(a.nodes)))
 	if err != nil {
 		a.mu.Unlock()
 		panic(err)
@@ -223,16 +223,33 @@ func RestoreAccumulator(cfg Config, fs *FullState) (*Accumulator, error) {
 	return a, nil
 }
 
+// Restore resumes a full state export on the accumulator New picks for
+// cfg's scenario. The export may come from either design.
+func Restore(cfg Config, fs *FullState) (Ingester, error) {
+	if cfg.Star {
+		ea, err := RestoreEpochAccumulator(cfg, fs)
+		if err != nil {
+			return nil, err
+		}
+		return ea, nil
+	}
+	a, err := RestoreAccumulator(cfg, fs)
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // RestoreEpochAccumulator builds an epoch-merged accumulator that resumes
 // exactly where the exported one stood (see RestoreAccumulator; the state
 // may equally come from a single-lock accumulator's ExportFull — the two
 // designs share the same resumable state, only the concurrency machinery
-// differs). flushEvery is as in NewEpochAccumulator.
-func RestoreEpochAccumulator(cfg Config, flushEvery int, fs *FullState) (*EpochAccumulator, error) {
+// differs).
+func RestoreEpochAccumulator(cfg Config, fs *FullState) (*EpochAccumulator, error) {
 	if err := validateFull(cfg, fs); err != nil {
 		return nil, err
 	}
-	ea, err := NewEpochAccumulator(cfg, flushEvery)
+	ea, err := NewEpochAccumulator(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -154,7 +154,7 @@ func TestRestoreResumeExactness(t *testing.T) {
 		var acc Ingester
 		var err error
 		if mode == "epoch" {
-			acc, err = NewEpochAccumulator(cfg, 16)
+			acc, err = NewEpochAccumulator(cfg)
 		} else {
 			acc, err = NewAccumulator(cfg)
 		}
@@ -168,7 +168,7 @@ func TestRestoreResumeExactness(t *testing.T) {
 		var acc Ingester
 		var err error
 		if mode == "epoch" {
-			acc, err = RestoreEpochAccumulator(cfg, 16, fs)
+			acc, err = RestoreEpochAccumulator(cfg, fs)
 		} else {
 			acc, err = RestoreAccumulator(cfg, fs)
 		}
@@ -327,7 +327,7 @@ func TestRestoreValidation(t *testing.T) {
 // the directory size — which is exactly what the flush gate guarantees.
 func TestExportFullDuringConcurrentFlushes(t *testing.T) {
 	cfg := Config{K: 5, Star: true, Replicates: uncert.Config{B: 8, Seed: 3}}
-	ea, err := NewEpochAccumulator(cfg, 8)
+	ea, err := NewEpochAccumulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +342,9 @@ func TestExportFullDuringConcurrentFlushes(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				if err := l.Ingest(fullObs(i)); err != nil {
 					panic(fmt.Sprintf("writer %d record %d: %v", w, i, err))
+				}
+				if i%8 == 7 {
+					l.Flush()
 				}
 			}
 		}(w)

@@ -41,18 +41,10 @@ type Pool struct {
 	// the per-record generation of the live accumulators.
 	gen atomic.Uint64
 
-	mu         sync.Mutex
-	sums       *core.Sums
-	reps       *uncert.Replicates
-	repCfg     uncert.Config
-	psi1       float64
-	psiInv     float64
-	collisions float64
-	distinct   int64
-	lastSizes  []float64
-	lastW      *core.PairWeights
-	lastDraws  float64
-	seq        int64
+	mu       sync.Mutex
+	view     // the merged view of the last Rebuild
+	repCfg   uncert.Config
+	distinct int64
 }
 
 // NewPool returns an empty coordinator pool. cfg fixes the partition,
@@ -67,7 +59,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	cfg.Replicates = uncert.Config{}
 	return &Pool{
 		cfg:  cfg,
-		sums: core.NewSums(cfg.K, cfg.Star),
+		view: view{sums: core.NewSums(cfg.K, cfg.Star)},
 	}, nil
 }
 
@@ -188,39 +180,7 @@ func (p *Pool) Snapshot() (*Snapshot, error) {
 	defer mSnapshotSec.ObserveSince(time.Now())
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.sums.Draws == 0 {
-		return nil, fmt.Errorf("stream: empty pool (no worker state merged yet)")
-	}
-	res, err := p.sums.Estimate(core.Options{N: p.cfg.N, Size: p.cfg.Size})
-	if err != nil {
-		return nil, err
-	}
-	var within []float64
-	if p.cfg.Star {
-		within, err = p.sums.WithinWeightsStar(res.Sizes)
-	} else {
-		within, err = p.sums.WithinWeightsInduced()
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.seq++
-	snap := &Snapshot{
-		Seq:         p.seq,
-		Draws:       int(p.sums.Draws),
-		Distinct:    int(p.distinct),
-		Result:      res,
-		Within:      within,
-		PopEstimate: core.PopulationSizeFromSums(p.sums.Draws, p.psi1, p.psiInv, p.collisions),
-		Converge:    convergeFrom(res, p.lastSizes, p.lastW, int(p.sums.Draws-p.lastDraws)),
-	}
-	if p.reps != nil {
-		snap.Boot = p.reps.Snapshot(core.Options{N: p.cfg.N, Size: p.cfg.Size})
-	}
-	p.lastSizes = append([]float64(nil), res.Sizes...)
-	p.lastW = res.Weights
-	p.lastDraws = p.sums.Draws
-	return snap, nil
+	return p.snapshot(p.cfg, int(p.distinct), "stream: empty pool (no worker state merged yet)")
 }
 
 // Export implements Ingester: the merged view as a State of its own, which
@@ -255,7 +215,7 @@ func (p *Pool) Export() (*State, error) {
 			p.mu.Unlock()
 			continue // a Rebuild swapped the bootstrap shape; re-size the shell
 		}
-		err = sh.copyFrom(p.sums, p.reps, p.gen.Load(), p.distinct, p.psi1, p.psiInv, p.collisions)
+		err = sh.copyFrom(&p.view, p.gen.Load(), p.distinct)
 		p.mu.Unlock()
 		if err != nil {
 			panic(err)

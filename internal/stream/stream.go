@@ -30,6 +30,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -131,25 +132,35 @@ type Ingester interface {
 	Export() (*State, error)
 }
 
+// New returns the accumulator for cfg's scenario: the EpochAccumulator for
+// star streams, whose records are per-node self-contained so that epochs
+// merge exactly, and the single-lock Accumulator for induced streams, whose
+// edge masses couple nodes across writers.
+func New(cfg Config) (Ingester, error) {
+	if cfg.Star {
+		ea, err := NewEpochAccumulator(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return ea, nil
+	}
+	a, err := NewAccumulator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // Accumulator ingests a stream of node observations and serves estimates.
 type Accumulator struct {
 	mu    sync.Mutex
 	cfg   Config
-	sums  *core.Sums
 	nodes map[int32]*nodeState
 
-	// reps holds the bootstrap replicate sums (nil when Config.Replicates
-	// is off); every mutation of sums has a mirrored call on reps.
-	reps *uncert.Replicates
-
-	// Collision statistics for the §4.3 population-size estimator.
-	psi1, psiInv, collisions float64
-
-	// Convergence tracking: the previous snapshot's estimate.
-	lastSizes []float64
-	lastW     *core.PairWeights
-	lastDraws float64
-	seq       int64
+	// view holds the running sums, replicates, collision scalars and
+	// convergence baseline (guarded by mu); every mutation of sums has a
+	// mirrored call on reps when Config.Replicates is on.
+	view
 
 	// gen advances once per successfully applied record, inside the
 	// critical section, so an Ingest call that returned has published its
@@ -167,8 +178,8 @@ func NewAccumulator(cfg Config) (*Accumulator, error) {
 	}
 	a := &Accumulator{
 		cfg:   cfg,
-		sums:  core.NewSums(cfg.K, cfg.Star),
 		nodes: make(map[int32]*nodeState),
+		view:  view{sums: core.NewSums(cfg.K, cfg.Star)},
 	}
 	if cfg.Replicates.Enabled() {
 		reps, err := uncert.NewReplicates(cfg.K, cfg.Star, cfg.Replicates)
@@ -504,49 +515,69 @@ func (a *Accumulator) Snapshot() (*Snapshot, error) {
 	defer mSnapshotSec.ObserveSince(time.Now())
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.sums.Draws == 0 {
-		return nil, fmt.Errorf("stream: empty accumulator")
+	return a.snapshot(a.cfg, len(a.nodes), "stream: empty accumulator")
+}
+
+// view is the published state every estimate is read from — the running
+// sums and bootstrap replicates, the collision scalars of the §4.3
+// population-size estimator, and the convergence baseline of the previous
+// snapshot. The single-lock Accumulator, the EpochAccumulator and the Pool
+// each embed one and guard it with their own mutex.
+type view struct {
+	sums *core.Sums
+	// reps holds the bootstrap replicate sums (nil when replicates are off).
+	reps *uncert.Replicates
+
+	psi1, psiInv, collisions float64
+
+	lastSizes []float64
+	lastW     *core.PairWeights
+	lastDraws float64
+	seq       int64
+}
+
+// snapshot computes the estimate of the view in O(K² + pairs) and advances
+// the convergence baseline. The caller holds the view's mutex; emptyErr is
+// the error message of a view without draws.
+func (v *view) snapshot(cfg Config, distinct int, emptyErr string) (*Snapshot, error) {
+	if v.sums.Draws == 0 {
+		return nil, errors.New(emptyErr)
 	}
-	res, err := a.sums.Estimate(core.Options{N: a.cfg.N, Size: a.cfg.Size})
+	opts := core.Options{N: cfg.N, Size: cfg.Size}
+	res, err := v.sums.Estimate(opts)
 	if err != nil {
 		return nil, err
 	}
 	var within []float64
-	if a.cfg.Star {
-		within, err = a.sums.WithinWeightsStar(res.Sizes)
+	if cfg.Star {
+		within, err = v.sums.WithinWeightsStar(res.Sizes)
 	} else {
-		within, err = a.sums.WithinWeightsInduced()
+		within, err = v.sums.WithinWeightsInduced()
 	}
 	if err != nil {
 		return nil, err
 	}
-	a.seq++
+	v.seq++
 	snap := &Snapshot{
-		Seq:         a.seq,
-		Draws:       int(a.sums.Draws),
-		Distinct:    len(a.nodes),
+		Seq:         v.seq,
+		Draws:       int(v.sums.Draws),
+		Distinct:    distinct,
 		Result:      res,
 		Within:      within,
-		PopEstimate: core.PopulationSizeFromSums(a.sums.Draws, a.psi1, a.psiInv, a.collisions),
-		Converge:    a.convergeLocked(res),
+		PopEstimate: core.PopulationSizeFromSums(v.sums.Draws, v.psi1, v.psiInv, v.collisions),
+		Converge:    convergeFrom(res, v.lastSizes, v.lastW, int(v.sums.Draws-v.lastDraws)),
 	}
-	if a.reps != nil {
-		snap.Boot = a.reps.Snapshot(core.Options{N: a.cfg.N, Size: a.cfg.Size})
+	if v.reps != nil {
+		snap.Boot = v.reps.Snapshot(opts)
 	}
-	a.lastSizes = append([]float64(nil), res.Sizes...)
-	a.lastW = res.Weights
-	a.lastDraws = a.sums.Draws
+	v.lastSizes = append([]float64(nil), res.Sizes...)
+	v.lastW = res.Weights
+	v.lastDraws = v.sums.Draws
 	return snap, nil
 }
 
-// convergeLocked measures the estimate movement since the last snapshot.
-func (a *Accumulator) convergeLocked(res *core.Result) Convergence {
-	return convergeFrom(res, a.lastSizes, a.lastW, int(a.sums.Draws-a.lastDraws))
-}
-
 // convergeFrom compares an estimate against the previous snapshot's sizes
-// and weights (nil on the first snapshot). It is shared by the single-lock
-// and sharded accumulators.
+// and weights (nil on the first snapshot).
 func convergeFrom(res *core.Result, lastSizes []float64, lastW *core.PairWeights, drawsSince int) Convergence {
 	c := Convergence{DrawsSince: drawsSince}
 	if lastSizes == nil {

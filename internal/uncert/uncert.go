@@ -11,7 +11,7 @@
 //     online counterpart of the Efron–Tibshirani resampling the paper
 //     recommends in §5.3.2 for Eq. (16). Weights are hash-seeded on
 //     (seed, node, replicate), so re-deliveries of a node's records fold in
-//     consistently and hash-partitioned shards reproduce the single-lock
+//     consistently and epoch-merged writers reproduce the single-lock
 //     replicates exactly. Snapshots yield percentile CIs for all K×K
 //     category-graph entries, the within-category densities, and the §4.3
 //     population-size estimate at O(B·K²) cost. This is the general-purpose

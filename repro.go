@@ -253,12 +253,12 @@ func NewAccumulator(cfg StreamConfig) (*Accumulator, error) { return stream.NewA
 // NewEpochAccumulator returns an empty epoch-merged accumulator: the
 // multi-core counterpart of NewAccumulator. Each writer obtains a private
 // LocalAccumulator (NewLocal) whose per-record path touches no shared
-// state; a Flush — every flushEvery records (0 means 1024), or explicit —
-// folds the epoch's Hansen–Hurwitz sums and bootstrap replicates into the
-// published view exactly. Star scenario only (induced edge masses couple
-// nodes across epochs).
-func NewEpochAccumulator(cfg StreamConfig, flushEvery int) (*EpochAccumulator, error) {
-	return stream.NewEpochAccumulator(cfg, flushEvery)
+// state; a Flush — every 1024 records, or explicit — folds the epoch's
+// Hansen–Hurwitz sums and bootstrap replicates into the published view
+// exactly. Star scenario only (induced edge masses couple nodes across
+// epochs).
+func NewEpochAccumulator(cfg StreamConfig) (*EpochAccumulator, error) {
+	return stream.NewEpochAccumulator(cfg)
 }
 
 // NewStatePool returns an empty merge-coordinator pool for the given
@@ -315,8 +315,8 @@ func RestoreAccumulator(cfg StreamConfig, fs *AccumulatorFullState) (*Accumulato
 // from a full state export — the export may come from either accumulator
 // design, so a stream persisted under one concurrency mode can resume
 // under the other (estimates agree to ≤ 1e-9).
-func RestoreEpochAccumulator(cfg StreamConfig, flushEvery int, fs *AccumulatorFullState) (*EpochAccumulator, error) {
-	return stream.RestoreEpochAccumulator(cfg, flushEvery, fs)
+func RestoreEpochAccumulator(cfg StreamConfig, fs *AccumulatorFullState) (*EpochAccumulator, error) {
+	return stream.RestoreEpochAccumulator(cfg, fs)
 }
 
 // AppendCheckpoint appends one framed checkpoint to w (an append-only

@@ -225,7 +225,7 @@ func TestFacadeMultiWalkPooling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := NewEpochAccumulator(StreamConfig{K: g.NumCategories(), Star: true, N: N}, 0)
+	epoch, err := NewEpochAccumulator(StreamConfig{K: g.NumCategories(), Star: true, N: N})
 	if err != nil {
 		t.Fatal(err)
 	}
