@@ -244,6 +244,22 @@ func TestJobsRestartResumeHTTP(t *testing.T) {
 	if w := post(t, srv1, "/jobs/alpha/ingest", obsBody(t, 1000, 1000+cut)); w.Code != 200 {
 		t.Fatalf("alpha head ingest: %d %s", w.Code, w.Body)
 	}
+	// Before any frame every acknowledged record is at risk; a job
+	// without a checkpoint path does not report the field.
+	type jobList struct {
+		Jobs []map[string]any `json:"jobs"`
+	}
+	var durable, volatile jobList
+	mustDecode(t, get(t, srv1, "/jobs").Body.Bytes(), &durable)
+	for _, doc := range durable.Jobs {
+		if doc["records_since_checkpoint"] != float64(cut) {
+			t.Fatalf("job %v: records_since_checkpoint = %v, want %d", doc["name"], doc["records_since_checkpoint"], cut)
+		}
+	}
+	mustDecode(t, get(t, base, "/jobs").Body.Bytes(), &volatile)
+	if _, ok := volatile.Jobs[0]["records_since_checkpoint"]; ok {
+		t.Fatalf("job without a checkpoint path reports records_since_checkpoint: %v", volatile.Jobs[0])
+	}
 	srv1.shutdown()
 
 	// Second life: the default job restores during construction; the named
@@ -261,8 +277,9 @@ func TestJobsRestartResumeHTTP(t *testing.T) {
 	}
 	var doc map[string]any
 	mustDecode(t, w.Body.Bytes(), &doc)
-	if doc["gen"] != float64(cut) {
-		t.Fatalf("alpha resumed at gen %v, want %d", doc["gen"], cut)
+	if doc["gen"] != float64(cut) || doc["records_since_checkpoint"] != float64(0) {
+		t.Fatalf("alpha resumed at gen %v with %v records since checkpoint, want %d and 0",
+			doc["gen"], doc["records_since_checkpoint"], cut)
 	}
 	// A re-create that contradicts the durable identity is a conflict.
 	if w := post(t, srv2, "/jobs", `{"name":"alpha"}`); w.Code != 409 {

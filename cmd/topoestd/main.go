@@ -23,15 +23,6 @@
 //	             epochs and fold them into the published view exactly at
 //	             flush (multi-core ingest); induced streams run the
 //	             single-lock accumulator
-//	-flush-interval  star jobs: defer publishing ingested records to a
-//	             background flusher with this period (e.g. 200ms). The
-//	             default 0 flushes before every /ingest response, so an
-//	             acknowledged record is visible to the next /estimate;
-//	             > 0 trades that read-your-writes visibility for zero
-//	             flush work on the request path — acknowledged records
-//	             are held in process memory until the next background
-//	             flush (and reach a checkpoint only after it), so a crash
-//	             before then loses them
 //	-N           population size |V|; 0 = unknown → relative sizes, with the
 //	             §4.3 collision estimate of N reported alongside
 //	-size        size estimator: auto|induced|star|star-pooled
@@ -109,7 +100,10 @@
 //	                         identity — k, star, bootstrap — must match:
 //	                         mismatch is a 409). 201 on success, 409 when
 //	                         the name is taken
-//	GET    /jobs             list jobs with stream position and crawl state
+//	GET    /jobs             list jobs with stream position, crawl state
+//	                         and checkpoint state, including
+//	                         "records_since_checkpoint": the acknowledged
+//	                         records a crash would lose
 //	DELETE /jobs/{job}       delete a job and its checkpoint file — the
 //	                         stream is discarded durably. 400 for "default",
 //	                         409 while the job's crawl is running
@@ -139,8 +133,8 @@
 //	                         single-lock for induced), uptime, Go
 //	                         version, goroutine count, build info, the
 //	                         cumulative ingest/crawl counters, and a "jobs"
-//	                         section with each job's stream position, crawl
-//	                         state and last checkpoint
+//	                         section with each job's document (as in
+//	                         GET /jobs)
 //	GET  /metrics            Prometheus text exposition of every metric in
 //	                         the process: ingest, snapshot, crawl, backend
 //	                         cache and HTTP-surface instrumentation
@@ -181,8 +175,12 @@
 // re-deliveries pass, but a record whose cat, explicit weight, or star
 // data contradicts the node's first observation is rejected. For star jobs
 // POST /ingest validates and accumulates each batch in a writer-private
-// local epoch in record order and — unless -flush-interval defers it —
-// flushes the epoch into the published estimate before responding.
+// local epoch in record order and flushes the epoch into the published
+// estimate before responding. Every job keeps one ack contract: an
+// acknowledged record is visible to the next /estimate and, with
+// -checkpoint-dir, durable at the next checkpoint; a crash (SIGKILL) loses
+// the records acknowledged since the last checkpoint, which each job
+// document reports as "records_since_checkpoint".
 //
 // # Ingest error semantics and the retry-safe protocol
 //
@@ -193,24 +191,22 @@
 //
 //	{"error":"…", "ingested":N, "total":M, "index":I}
 //
-// where "ingested" is the number of leading records durably applied and
+// where "ingested" is the number of leading records applied and
 // "index" is the position of the offending record. The two differ only for
 // pre-validation failures (a record missing "cat"), which are detected
 // before anything is applied: there "ingested" is 0 while "index" points
 // at the offender. Malformed JSON is rejected whole with HTTP 400 and body
-// {"error":"…"} — nothing was applied and no record indices exist.
+// {"error":"…"} — nothing was applied and no record indices exist. A body
+// over the route's limit (64 MiB for /ingest, 1 MiB for the JSON bodies of
+// POST /crawl and POST /jobs) is rejected whole with HTTP 413 and the same
+// {"error":"…"} body.
 //
 // A retrying client MUST NOT resend the whole batch after a 422 — that
 // would double-ingest the applied prefix and silently skew the estimate.
 // The retry-safe protocol is: drop the first "ingested" records, fix or
 // discard the record at index "index", and resend the rest. Idempotent
 // replay is not provided by the server; exactly-once ingestion is the
-// client's contract to keep. Under -flush-interval > 0 "applied" means
-// accepted into the daemon's local epoch: the prefix is validated and
-// counted, but it lives only in process memory until the next background
-// flush publishes it to /estimate and the next checkpoint after that makes
-// it durable. A graceful shutdown flushes it; a crash (SIGKILL) before the
-// flush loses it.
+// client's contract to keep.
 //
 // # Flush conflicts (HTTP 409)
 //
@@ -265,15 +261,14 @@ import (
 
 // cli holds the parsed command line.
 type cli struct {
-	addr       string
-	k          int
-	names      string
-	star       bool
-	flushEvery time.Duration
-	popN       float64
-	size       string
-	boot       int
-	bootSeed   uint64
+	addr     string
+	k        int
+	names    string
+	star     bool
+	popN     float64
+	size     string
+	boot     int
+	bootSeed uint64
 
 	demo      bool
 	demoDraws int
@@ -318,7 +313,6 @@ func main() {
 	flag.IntVar(&c.k, "k", 0, "number of categories")
 	flag.StringVar(&c.names, "names", "", "comma-separated category names (sets -k)")
 	flag.BoolVar(&c.star, "star", true, "star scenario (false = induced subgraph)")
-	flag.DurationVar(&c.flushEvery, "flush-interval", 0, "star jobs: defer publishing ingested records to a background flusher with this period (0 = flush before every /ingest response)")
 	flag.Float64Var(&c.popN, "N", 0, "population size |V| (0 = unknown, relative sizes)")
 	flag.StringVar(&c.size, "size", "auto", "size estimator: auto|induced|star|star-pooled")
 	flag.IntVar(&c.boot, "bootstrap", 0, "streaming-bootstrap replicates for /estimate?ci= intervals (0 = off)")
@@ -380,9 +374,6 @@ func (c *cli) run() error {
 	if c.queryCost < 0 {
 		return fmt.Errorf("need -query-cost ≥ 0, got %v", c.queryCost)
 	}
-	if c.flushEvery < 0 {
-		return fmt.Errorf("need -flush-interval ≥ 0, got %v", c.flushEvery)
-	}
 	if c.checkpointInterval <= 0 {
 		return fmt.Errorf("need -checkpoint-interval > 0, got %v", c.checkpointInterval)
 	}
@@ -398,9 +389,6 @@ func (c *cli) run() error {
 		}
 		if c.boot != 0 {
 			return fmt.Errorf("-bootstrap has no effect on a coordinator: it adopts the workers' bootstrap configuration (drop the flag)")
-		}
-		if c.flushEvery > 0 {
-			return fmt.Errorf("-flush-interval configures the ingest path; a coordinator does not ingest")
 		}
 		if c.checkpointDir != "" {
 			return fmt.Errorf("-checkpoint-dir has no effect on a coordinator: its durable state lives on the workers it polls")
@@ -437,16 +425,13 @@ func (c *cli) run() error {
 		slog.Info("named jobs restored from checkpoints", "count", len(restored))
 	}
 	srv := newServerWithJobs(reg, def)
-	if c.flushEvery > 0 {
-		srv.startDeferredFlush(c.flushEvery)
-	}
 	reg.Start()
 	if c.pprofOn {
 		registerPprof(srv.mux)
 	}
 	slog.Info("topoestd serving",
 		"addr", c.addr, "k", k, "scenario", scenarioName(c.star),
-		"ingest", ingestMode(def.Acc()), "flush_interval", c.flushEvery, "bootstrap_b", bc.B,
+		"ingest", ingestMode(def.Acc()), "bootstrap_b", bc.B,
 		"checkpoint_dir", c.checkpointDir, "gen", def.Acc().Gen())
 	return listenAndServe(c.addr, srv, srv.shutdown)
 }
@@ -508,9 +493,8 @@ func (c *cli) runMergeMode(method core.SizeMethod) error {
 // goroutine) forever — the bare http.ListenAndServe has none. On SIGTERM or
 // SIGINT it shuts down gracefully: the listener closes (no new ingest), every
 // in-flight request finishes (bounded by 10s), and then onShutdown runs —
-// which is where the server publishes anything still buffered (the deferred
-// flusher's pooled locals) before the process exits, so no acknowledged
-// record dies with the process.
+// which is where the server writes its final checkpoints before the process
+// exits, so no acknowledged record dies with the process.
 func listenAndServe(addr string, h http.Handler, onShutdown func()) error {
 	srv := &http.Server{
 		Addr:              addr,
@@ -602,9 +586,6 @@ func (c *cli) runCrawlMode(method core.SizeMethod, bc uncert.Config) error {
 	srv := newServerWithJobs(reg, def)
 	srv.crawlSource = src
 	srv.crawlDefaults = adaptive
-	if c.flushEvery > 0 {
-		srv.startDeferredFlush(c.flushEvery)
-	}
 	cj, err := crawl.Start(src, def.Acc(), jobCfg)
 	if err != nil {
 		if errors.Is(err, sample.ErrNoEdges) {
@@ -758,15 +739,6 @@ type server struct {
 	def      *job.Job
 	template job.Spec
 
-	// The deferred-flush ingest path of -flush-interval parks writer-private
-	// locals on each job between requests; the background flusher folds the
-	// idle ones of every job into the published views each flushEvery, and a
-	// request in flight simply keeps its local out of the job's pool until
-	// it returns it, so no Local is ever touched by two goroutines.
-	flushEvery time.Duration
-	flushStop  chan struct{}
-	flushDone  chan struct{}
-
 	// crawlSource is the graph backend of crawl/demo mode — generated,
 	// packed out-of-core, or rate-limited (nil when the daemon only serves
 	// externally pushed records); crawlDefaults seeds the configuration of
@@ -869,55 +841,11 @@ func ingestMode(acc stream.Ingester) string {
 	return "single-lock"
 }
 
-// startDeferredFlush switches POST /ingest from flush-per-request to the
-// deferred path: each request borrows a pooled writer-private local of its
-// job, validates and accumulates its records there, and returns it
-// unflushed; a background ticker folds every job's idle locals into the
-// published views each d. Jobs on the single-lock accumulator are
-// unaffected — their ingest keeps flushing per request. Call before the
-// server starts serving — the switch is not synchronized with in-flight
-// requests.
-func (s *server) startDeferredFlush(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	s.flushEvery = d
-	s.flushStop = make(chan struct{})
-	s.flushDone = make(chan struct{})
-	go func() {
-		defer close(s.flushDone)
-		t := time.NewTicker(d)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.flushStop:
-				s.flushIdleLocals() // final flush: nothing acknowledged is lost
-				return
-			case <-t.C:
-				s.flushIdleLocals()
-			}
-		}
-	}()
-}
-
-// stopDeferredFlush terminates the background flusher and waits for its
-// final flush of every idle local, so nothing acknowledged is lost.
-// Subsequent ingests take the flush-per-request path.
-func (s *server) stopDeferredFlush() {
-	if s.flushStop != nil {
-		close(s.flushStop)
-		<-s.flushDone
-		s.flushStop = nil
-	}
-}
-
 // shutdown runs after the HTTP server has stopped accepting requests and
-// drained the in-flight ones: publish every record still buffered in the
-// deferred flusher's pooled locals, stop the merge poll loop if this daemon
-// is a coordinator, and write one final checkpoint per job (registry
-// shutdown) so everything acknowledged is durable before the process exits.
+// drained the in-flight ones: stop the merge poll loop if this daemon is a
+// coordinator, and write one final checkpoint per job (registry shutdown)
+// so everything acknowledged is durable before the process exits.
 func (s *server) shutdown() {
-	s.stopDeferredFlush()
 	if s.merger != nil {
 		s.merger.stopWait()
 	}
@@ -956,19 +884,28 @@ func (s *server) handleSums(w http.ResponseWriter, r *http.Request, j *job.Job) 
 	w.Write(enc)
 }
 
-// flushIdleLocals publishes every job's idle locals (the borrow/flush
-// mechanics live on job.Job). Records dropped by a flush (per-node constants
-// that lost a first-touch race to a contradicting writer) are already
-// counted by the stream_ingest_rejected_total{reason="flush_conflict"}
-// metric; they are logged here because for an HTTP client they are the
-// deferred analogue of a 422 the request path could no longer report.
-func (s *server) flushIdleLocals() (applied, dropped int) {
-	applied, dropped = s.jobs.FlushIdleAll()
-	if dropped > 0 {
-		slog.Warn("deferred flush dropped records with conflicting per-node constants",
-			"dropped", dropped, "applied", applied)
+// Request body limits: an /ingest batch, and the JSON configuration bodies
+// of POST /crawl and POST /jobs.
+const (
+	maxIngestBody = 64 << 20
+	maxConfigBody = 1 << 20
+)
+
+// readBody reads a request body of at most limit bytes. On failure it has
+// already answered — 413 for a body over the limit, 400 for any other read
+// error — and returns ok=false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return body, true
 	}
-	return applied, dropped
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	} else {
+		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	}
+	return nil, false
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -992,13 +929,12 @@ type wireRecord struct {
 
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job) {
 	t0 := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, r, maxIngestBody)
+	if !ok {
 		return
 	}
 	if isRecordsContentType(r.Header.Get("Content-Type")) {
-		s.handleIngestBinary(w, j, body, t0)
+		handleIngestBinary(w, j, body, t0)
 		return
 	}
 	// Peek at the first non-space byte to accept either one record object
@@ -1036,7 +972,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job
 			Deg: wr.Deg, NbrCat: wr.NbrCat, NbrCnt: wr.NbrCnt, Peers: wr.Peers,
 		}
 	}
-	n, err := s.ingestRecords(j, recs)
+	n, err := j.Acc().IngestBatch(recs)
 	j.NoteIngest(n, len(body), t0)
 	if err != nil {
 		writeIngestError(w, n, len(recs), err)
@@ -1066,17 +1002,17 @@ var recordIterPool = sync.Pool{New: func() any { return new(wire.RecordIter) }}
 // contract matches JSON exactly: a body that fails frame validation is a
 // 400 with nothing applied (the frame is structurally checked before any
 // record is ingested), and a record the stream rejects is a 422 whose
-// "ingested"/"index" count leading records durably applied — the index
+// "ingested"/"index" count leading records applied — the index
 // means the same thing in both encodings, so a retrying client needs no
 // per-encoding logic.
-func (s *server) handleIngestBinary(w http.ResponseWriter, j *job.Job, body []byte, t0 time.Time) {
+func handleIngestBinary(w http.ResponseWriter, j *job.Job, body []byte, t0 time.Time) {
 	it := recordIterPool.Get().(*wire.RecordIter)
 	defer recordIterPool.Put(it)
 	if err := it.Reset(body); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	n, err := s.ingestStream(j, it)
+	n, err := ingestStream(j, it)
 	j.NoteIngest(n, len(body), t0)
 	if err != nil {
 		writeIngestError(w, n, it.Len(), err)
@@ -1089,12 +1025,12 @@ func (s *server) handleIngestBinary(w http.ResponseWriter, j *job.Job, body []by
 // ingestStream drains a binary batch straight into the job's stream without
 // materializing a record slice: each decoded record aliases the iterator's
 // scratch, which every ingest path copies before retaining. Epoch-merged
-// jobs ingest through a pooled writer-private local — flushed before the
-// response unless deferred-flush mode owns publishing, exactly mirroring
-// ingestRecords and EpochAccumulator.IngestBatch, including the
-// *stream.FlushConflictError for records the flush drops — and the
-// single-lock accumulator takes records directly.
-func (s *server) ingestStream(j *job.Job, it *wire.RecordIter) (int, error) {
+// jobs ingest through a writer-private local borrowed from the
+// accumulator's pool and flushed before the response — exactly mirroring
+// EpochAccumulator.IngestBatch, including the *stream.FlushConflictError
+// for records the flush drops — and the single-lock accumulator takes
+// records directly.
+func ingestStream(j *job.Job, it *wire.RecordIter) (int, error) {
 	var rec sample.NodeObservation
 	l := j.TakeLocal()
 	if l == nil {
@@ -1114,38 +1050,11 @@ func (s *server) ingestStream(j *job.Job, it *wire.RecordIter) (int, error) {
 			break
 		}
 	}
-	if s.flushStop != nil {
-		return n, err
-	}
 	applied, dropped := l.Flush()
 	if dropped > 0 {
 		return applied, &stream.FlushConflictError{Applied: applied, Dropped: dropped, Err: err}
 	}
 	return applied, err
-}
-
-// ingestRecords applies one request's batch to the job's stream. Normally
-// it goes straight to the accumulator (the epoch-merged one flushes
-// internally before returning, so the HTTP ack implies /estimate
-// visibility, exactly like the single-lock path). In deferred-flush mode
-// the records accumulate in a borrowed writer-private local of the job
-// instead and the background ticker publishes them later; the valid-prefix
-// contract is unchanged — on error the first n records are held in the
-// local's epoch — but "draws" in the response and /estimate lag until the
-// next flush, and flush conflicts are only logged by the flusher.
-func (s *server) ingestRecords(j *job.Job, recs []sample.NodeObservation) (int, error) {
-	if s.flushStop != nil {
-		if l := j.TakeLocal(); l != nil {
-			defer j.PutLocal(l)
-			for i, rec := range recs {
-				if err := l.Ingest(rec); err != nil {
-					return i, err
-				}
-			}
-			return len(recs), nil
-		}
-	}
-	return j.Acc().IngestBatch(recs)
 }
 
 // writeIngestError answers a failed /ingest of total records of which n
@@ -1179,7 +1088,7 @@ func writeIngestError(w http.ResponseWriter, n, total int, err error) {
 
 // ingestError writes the structured /ingest error body: the human-readable
 // message plus the machine-readable fields that make retries safe —
-// "ingested" leading records are durable, the record at "index" is the
+// "ingested" leading records are applied, the record at "index" is the
 // offender, and only the records from "ingested" onward (minus the fixed or
 // dropped offender) may be resent.
 func ingestError(w http.ResponseWriter, ingested, total, index int, format string, args ...any) {
@@ -1413,9 +1322,8 @@ func (s *server) handleCrawlStart(w http.ResponseWriter, r *http.Request, j *job
 		return
 	}
 	var req crawlReq
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, r, maxConfigBody)
+	if !ok {
 		return
 	}
 	if len(bytes.TrimSpace(body)) > 0 {
@@ -1425,7 +1333,7 @@ func (s *server) handleCrawlStart(w http.ResponseWriter, r *http.Request, j *job
 		}
 	}
 	cfg := req.apply(s.crawlDefaults)
-	_, err = j.StartCrawl(s.crawlSource, cfg)
+	_, err := j.StartCrawl(s.crawlSource, cfg)
 	if errors.Is(err, job.ErrCrawlRunning) {
 		httpError(w, http.StatusConflict, "a crawl is already running in job %q; poll its crawl/status", j.Name())
 		return
@@ -1564,18 +1472,17 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	acc := s.def.Acc()
 	doc := map[string]any{
-		"status":           "ok",
-		"scenario":         scenarioName(acc.Config().Star),
-		"k":                acc.Config().K,
-		"accumulator":      ingestMode(acc),
-		"flush_interval_s": s.flushEvery.Seconds(),
-		"bootstrap_b":      acc.Config().Replicates.B,
-		"draws":            acc.Draws(),
-		"distinct":         acc.Distinct(),
-		"uptime_s":         time.Since(s.start).Seconds(),
-		"go_version":       runtime.Version(),
-		"goroutines":       runtime.NumGoroutine(),
-		"build":            buildDoc(),
+		"status":      "ok",
+		"scenario":    scenarioName(acc.Config().Star),
+		"k":           acc.Config().K,
+		"accumulator": ingestMode(acc),
+		"bootstrap_b": acc.Config().Replicates.B,
+		"draws":       acc.Draws(),
+		"distinct":    acc.Distinct(),
+		"uptime_s":    time.Since(s.start).Seconds(),
+		"go_version":  runtime.Version(),
+		"goroutines":  runtime.NumGoroutine(),
+		"build":       buildDoc(),
 		"ingest": map[string]int64{
 			"records":  stream.IngestedTotal(),
 			"rejected": stream.RejectedTotal(),
@@ -1617,6 +1524,9 @@ func jobDoc(j *job.Job) map[string]any {
 			doc["checkpoint_age_s"] = time.Since(at).Seconds()
 		}
 	}
+	if n, ok := j.RecordsSinceCheckpoint(); ok {
+		doc["records_since_checkpoint"] = n
+	}
 	return doc
 }
 
@@ -1642,9 +1552,8 @@ func crawlStateName(j *job.Job) string {
 // frame resumes from it (identity mismatch is a 409 — the durable state
 // contradicts the request).
 func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, r, maxConfigBody)
+	if !ok {
 		return
 	}
 	var req jobReq

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/stream"
 	"repro/internal/uncert"
+	"repro/internal/wire"
 )
 
 func testServer(t *testing.T, k int, star bool, n float64) (*server, *stream.Accumulator) {
@@ -320,6 +322,44 @@ func TestEstimateBeforeIngest(t *testing.T) {
 	}
 }
 
+// zeroReader is an endless stream of zero bytes: request bodies of any
+// size without holding them in memory twice.
+type zeroReader struct{}
+
+func (zeroReader) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestOversizeBody413 pins the body-limit answer of the routes that read a
+// request body: one byte over the limit is a 413 with the usual {"error"}
+// body, and a body at the limit is read and judged on its content.
+func TestOversizeBody413(t *testing.T) {
+	srv, _ := testServer(t, 3, true, 0)
+	for _, tc := range []struct {
+		path string
+		size int64
+		want int
+	}{
+		{"/jobs", maxConfigBody + 1, http.StatusRequestEntityTooLarge},
+		{"/jobs", maxConfigBody, http.StatusBadRequest}, // read, then not JSON
+		{"/ingest", maxIngestBody + 1, http.StatusRequestEntityTooLarge},
+	} {
+		req := httptest.NewRequest("POST", tc.path, io.LimitReader(zeroReader{}, tc.size))
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != tc.want {
+			t.Errorf("POST %s with %d bytes: %d %s, want %d", tc.path, tc.size, w.Code, w.Body, tc.want)
+			continue
+		}
+		var doc map[string]string
+		mustDecode(t, w.Body.Bytes(), &doc)
+		if doc["error"] == "" {
+			t.Errorf("POST %s with %d bytes: body %s has no error", tc.path, tc.size, w.Body)
+		}
+	}
+}
+
 // TestHealthz pins the liveness document's shape: configuration and stream
 // position, process pulse, build info, and the cumulative ingest/crawl
 // counter groups.
@@ -337,7 +377,7 @@ func TestHealthz(t *testing.T) {
 	if doc["status"] != "ok" || doc["scenario"] != "induced" || doc["draws"] != float64(1) {
 		t.Fatalf("healthz doc = %v", doc)
 	}
-	for _, key := range []string{"k", "accumulator", "flush_interval_s", "bootstrap_b", "distinct", "uptime_s", "go_version", "goroutines", "build", "ingest", "crawl"} {
+	for _, key := range []string{"k", "accumulator", "bootstrap_b", "distinct", "uptime_s", "go_version", "goroutines", "build", "ingest", "crawl"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("healthz doc missing %q: %v", key, doc)
 		}
@@ -716,83 +756,45 @@ func TestEpochServerCI(t *testing.T) {
 	}
 }
 
-// TestDeferredFlushIngest exercises the -flush-interval path: acknowledged
-// records park in pooled writer-private locals — durable but invisible to
-// Draws and /estimate — until a flush publishes them; the valid-prefix 422
-// contract survives deferral; and stopDeferredFlush performs a final flush
-// so nothing acknowledged is ever lost.
-func TestDeferredFlushIngest(t *testing.T) {
-	acc, err := stream.NewEpochAccumulator(stream.Config{K: 3, Star: true, N: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(acc, nil)
-	srv.startDeferredFlush(time.Hour) // the tick never fires; the test flushes by hand
-	if w := post(t, srv, "/ingest",
-		`[{"node":1,"cat":0,"deg":1,"nbr_cat":[1],"nbr_cnt":[1]},
-		  {"node":2,"cat":1,"deg":1,"nbr_cat":[0],"nbr_cnt":[1]}]`); w.Code != 200 {
-		t.Fatalf("deferred ingest: %d %s", w.Code, w.Body)
-	}
-	if acc.Draws() != 0 {
-		t.Fatalf("draws = %d before any flush, want 0 (records parked in the local)", acc.Draws())
-	}
-	if w := get(t, srv, "/estimate"); w.Code != 503 {
-		t.Fatalf("estimate before flush: %d, want 503 (nothing published yet)", w.Code)
-	}
-	// A mid-batch rejection still applies the valid prefix durably — into
-	// the local epoch rather than the published view.
-	w := post(t, srv, "/ingest", `[{"node":3,"cat":2},{"node":9,"cat":7}]`)
-	if w.Code != 422 {
-		t.Fatalf("bad batch: %d %s", w.Code, w.Body)
-	}
-	var errDoc struct {
-		Ingested int `json:"ingested"`
-		Total    int `json:"total"`
-		Index    int `json:"index"`
-	}
-	mustDecode(t, w.Body.Bytes(), &errDoc)
-	if errDoc.Ingested != 1 || errDoc.Total != 2 || errDoc.Index != 1 {
-		t.Fatalf("deferred error body = %+v, want ingested=1 total=2 index=1", errDoc)
-	}
-	if applied, dropped := srv.flushIdleLocals(); applied != 3 || dropped != 0 {
-		t.Fatalf("flush applied %d, dropped %d, want 3 applied (2 good + the 422 prefix)", applied, dropped)
-	}
-	if acc.Draws() != 3 {
-		t.Fatalf("draws = %d after flush, want 3", acc.Draws())
-	}
-	var est estimateDoc
-	mustDecode(t, get(t, srv, "/estimate").Body.Bytes(), &est)
-	if est.Draws != 3 {
-		t.Fatalf("estimate covers %d draws after flush, want 3", est.Draws)
-	}
-	// Records acknowledged after the last tick are published by the final
-	// flush of stopDeferredFlush.
-	if w := post(t, srv, "/ingest", `{"node":4,"cat":2}`); w.Code != 200 {
-		t.Fatalf("ingest before stop: %d %s", w.Code, w.Body)
-	}
-	srv.stopDeferredFlush()
-	if acc.Draws() != 4 {
-		t.Fatalf("draws = %d after stop, want 4 (final flush publishes the tail)", acc.Draws())
-	}
-}
-
 // TestSnapshotFreshAfterAckedIngest is the stale-snapshot regression test
 // (run under -race): the snapshot cache used to be keyed on acc.Draws(),
 // which for the retired sharded accumulator summed per-shard counters one
 // lock at a time — under concurrent ingest the torn sum could equal the
 // cached count and a stale snapshot would be served as fresh. The fixed
 // cache keys on the monotone ingest generation, which the epoch-merged
-// accumulator advances at flush (its Ingest flushes before returning, so
-// the ack implies visibility), giving the externally visible guarantee
-// this test hammers: every /estimate whose request starts after an
-// /ingest response was received reflects at least those acknowledged
-// draws.
+// accumulator advances at flush, and every /ingest flushes before it
+// answers, giving the externally visible guarantee this test hammers: every
+// /estimate whose request starts after an /ingest response was received
+// reflects at least those acknowledged draws. Both encodings run: JSON
+// goes through EpochAccumulator.IngestBatch, TOPOREC1 through a Local
+// borrowed from the accumulator's pool.
 func TestSnapshotFreshAfterAckedIngest(t *testing.T) {
+	for _, enc := range []string{"json", "binary"} {
+		t.Run(enc, func(t *testing.T) { testSnapshotFreshAfterAckedIngest(t, enc) })
+	}
+}
+
+func testSnapshotFreshAfterAckedIngest(t *testing.T, enc string) {
 	acc, err := stream.NewEpochAccumulator(stream.Config{K: 2, Star: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := newServer(acc, nil)
+	ingest := func(v int32) *httptest.ResponseRecorder {
+		rec := sample.NodeObservation{Node: v, Cat: v % 2, Deg: 1, NbrCat: []int32{0}, NbrCnt: []float64{1}}
+		if enc == "binary" {
+			body, err := wire.EncodeRecords([]sample.NodeObservation{rec})
+			if err != nil {
+				t.Error(err)
+			}
+			return postBin(t, srv, "/ingest", body)
+		}
+		body, err := json.Marshal(rec)
+		if err != nil {
+			t.Error(err)
+		}
+		return post(t, srv, "/ingest", string(body))
+	}
 	var acked atomic.Int64
 	const writers = 6
 	const perWriter = 120
@@ -803,9 +805,7 @@ func TestSnapshotFreshAfterAckedIngest(t *testing.T) {
 		go func(wr int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				v := int32(wr*perWriter + i)
-				body := fmt.Sprintf(`{"node":%d,"cat":%d,"deg":1,"nbr_cat":[0],"nbr_cnt":[1]}`, v, v%2)
-				w := post(t, srv, "/ingest", body)
+				w := ingest(int32(wr*perWriter + i))
 				if w.Code != 200 {
 					t.Errorf("ingest: %d %s", w.Code, w.Body)
 					return

@@ -141,8 +141,9 @@ func (m *merger) stopWait() {
 
 // pollOnce runs one fetch-and-rebuild round: every worker whose backoff
 // horizon has passed is fetched in parallel, then the pool is rebuilt from
-// all states still within the staleness bound. It is the synchronous seam
-// the fault-injection tests drive directly.
+// all states still within the staleness bound of the round's start, so a
+// slow fetch cannot age out a state pulled in the same round. It is the
+// synchronous seam the fault-injection tests drive directly.
 func (m *merger) pollOnce(now time.Time) {
 	var wg sync.WaitGroup
 	for _, w := range m.workers {
@@ -184,7 +185,7 @@ func (m *merger) pollOnce(now time.Time) {
 	states := make([]*stream.State, 0, len(m.workers))
 	for _, w := range m.workers {
 		w.mu.Lock()
-		if w.state != nil && time.Since(w.fetchedAt) <= m.maxStale {
+		if w.state != nil && now.Sub(w.fetchedAt) <= m.maxStale {
 			states = append(states, w.state)
 		}
 		w.mu.Unlock()

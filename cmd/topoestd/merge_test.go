@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/job"
 	"repro/internal/randx"
 	"repro/internal/sample"
 	"repro/internal/stream"
@@ -388,23 +389,29 @@ func TestMergeFaultInjection(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownFlushesDeferredLocals is the shutdown regression: a
-// record acknowledged into a deferred-flush local before SIGTERM must be
-// published by the time the process exits. The signal path itself
-// (NotifyContext → Shutdown → srv.shutdown) is exercised by raising a real
-// SIGTERM at a running listenAndServe.
-func TestGracefulShutdownFlushesDeferredLocals(t *testing.T) {
-	acc, err := stream.NewEpochAccumulator(stream.Config{K: 3, Star: true, N: 50})
+// TestGracefulShutdownCheckpoints is the shutdown regression: a record
+// acknowledged before SIGTERM must be in the final checkpoint by the time
+// the process exits, although the periodic ticker never fired. The signal
+// path itself (NotifyContext → Shutdown → srv.shutdown) is exercised by
+// raising a real SIGTERM at a running listenAndServe.
+func TestGracefulShutdownCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	spec := job.Spec{Name: job.DefaultName, K: 3, Star: true, N: 50}
+	reg, err := job.NewRegistry(dir, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(acc, nil)
-	srv.startDeferredFlush(time.Hour) // the ticker never fires before shutdown
+	def, err := reg.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Start()
+	srv := newServerWithJobs(reg, def)
 	if w := post(t, srv, "/ingest", `{"node":1,"cat":0,"deg":2,"nbr_cat":[1],"nbr_cnt":[2]}`); w.Code != 200 {
 		t.Fatalf("ingest: %d %s", w.Code, w.Body)
 	}
-	if acc.Draws() != 0 {
-		t.Fatalf("draws = %d before shutdown, want 0 (record parked in a local)", acc.Draws())
+	if n, _ := def.RecordsSinceCheckpoint(); n != 1 {
+		t.Fatalf("records since checkpoint = %d before shutdown, want 1", n)
 	}
 
 	done := make(chan error, 1)
@@ -421,8 +428,16 @@ func TestGracefulShutdownFlushesDeferredLocals(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("graceful shutdown did not complete within 5s")
 	}
-	if acc.Draws() != 1 {
-		t.Fatalf("draws = %d after shutdown, want 1 (final flush must publish the deferred record)", acc.Draws())
+	reg2, err := job.NewRegistry(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := reg2.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen := restored.Acc().Gen(); gen != 1 {
+		t.Fatalf("restored gen = %d, want 1 (the final checkpoint must hold the acknowledged record)", gen)
 	}
 }
 

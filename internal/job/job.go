@@ -163,11 +163,6 @@ type Job struct {
 	names   []string
 	created time.Time
 
-	// localMu guards the deferred-flush pool of idle writer-private locals
-	// (epoch-merged accumulators only); see TakeLocal.
-	localMu sync.Mutex
-	idle    []*stream.Local
-
 	// snapMu guards the generation-keyed snapshot cache: read-heavy polling
 	// between ingests costs one O(K²) estimate total, not one per request.
 	snapMu    sync.Mutex
@@ -204,9 +199,6 @@ func (j *Job) Spec() Spec { return j.spec }
 // Acc returns the job's accumulator.
 func (j *Job) Acc() stream.Ingester { return j.acc }
 
-// Epoch returns the accumulator's epoch-merged form, nil otherwise.
-func (j *Job) Epoch() *stream.EpochAccumulator { return j.epoch }
-
 // Names returns the job's category names (always K entries).
 func (j *Job) Names() []string { return j.names }
 
@@ -237,60 +229,22 @@ func (j *Job) Snapshot() (*stream.Snapshot, *catgraph.Graph, error) {
 	return snap, cg, nil
 }
 
-// TakeLocal borrows an idle writer-private local of the job's epoch-merged
-// accumulator, growing the pool on demand — the deferred-flush ingest path.
-// Returns nil when the accumulator has no epoch form. The caller must return
-// the local with PutLocal.
+// TakeLocal borrows a writer-private local from the pool of the job's
+// epoch-merged accumulator (stream.EpochAccumulator.TakeLocal), or returns
+// nil when the job runs another engine. The caller ingests one request's
+// records into it and hands it back with PutLocal before answering, so
+// every acknowledged record is published: visible to the next snapshot and
+// captured by the next checkpoint.
 func (j *Job) TakeLocal() *stream.Local {
 	if j.epoch == nil {
 		return nil
 	}
-	j.localMu.Lock()
-	defer j.localMu.Unlock()
-	if n := len(j.idle); n > 0 {
-		l := j.idle[n-1]
-		j.idle = j.idle[:n-1]
-		return l
-	}
-	return j.epoch.NewLocal()
+	return j.epoch.TakeLocal()
 }
 
-// PutLocal returns a borrowed local to the idle pool.
-func (j *Job) PutLocal(l *stream.Local) {
-	j.localMu.Lock()
-	j.idle = append(j.idle, l)
-	j.localMu.Unlock()
-}
-
-// FlushIdle publishes every idle local's epoch. The locals are detached
-// first, so ingest requests keep borrowing and returning while the flushes
-// run without the pool lock.
-func (j *Job) FlushIdle() (applied, dropped int) {
-	j.localMu.Lock()
-	locals := j.idle
-	j.idle = nil
-	j.localMu.Unlock()
-	for _, l := range locals {
-		a, d := l.Flush()
-		applied += a
-		dropped += d
-	}
-	j.localMu.Lock()
-	j.idle = append(j.idle, locals...)
-	j.localMu.Unlock()
-	return applied, dropped
-}
-
-// closeLocals flushes and unregisters every idle local (job teardown).
-func (j *Job) closeLocals() {
-	j.localMu.Lock()
-	locals := j.idle
-	j.idle = nil
-	j.localMu.Unlock()
-	for _, l := range locals {
-		l.Close()
-	}
-}
+// PutLocal publishes whatever a borrowed local still holds and returns it
+// to the accumulator's pool.
+func (j *Job) PutLocal(l *stream.Local) { j.epoch.PutLocal(l) }
 
 // StartCrawl launches a crawl streaming into this job's accumulator. One
 // crawl runs at a time per job — ErrCrawlRunning while one is active;
@@ -361,10 +315,10 @@ func (j *Job) NoteIngest(records, bytes int, t0 time.Time) {
 // file, if the state advanced since the last frame. It returns whether a
 // frame was written. Jobs without a checkpoint path, and jobs whose
 // accumulator has no full export (the read-only merge pool — its durable
-// state lives on the workers), are silent no-ops. Records parked in
-// unflushed deferred locals are not captured (the flush-visibility
-// contract); the registry flushes idle locals before its final shutdown
-// checkpoint, so nothing acknowledged is lost across a graceful restart.
+// state lives on the workers), are silent no-ops. Every acknowledged record
+// is already published, so a frame captures everything acknowledged before
+// it; a crash loses only the records since the last frame (see
+// RecordsSinceCheckpoint).
 func (j *Job) Checkpoint() (bool, error) {
 	if j.ckptPath == "" {
 		return false, nil
@@ -448,6 +402,19 @@ func (j *Job) CheckpointStatus() (gen uint64, at time.Time) {
 	j.ckptMu.Lock()
 	defer j.ckptMu.Unlock()
 	return j.ckptGen, j.ckptAt
+}
+
+// RecordsSinceCheckpoint returns how many applied records the job's
+// checkpoint file does not hold yet — Gen minus the generation of the last
+// frame, which is exactly what a crash would lose. ok is false for jobs
+// without a checkpoint path. The last frame's generation is read before
+// Gen, and Gen is monotone, so the difference never underflows.
+func (j *Job) RecordsSinceCheckpoint() (n uint64, ok bool) {
+	if j.ckptPath == "" {
+		return 0, false
+	}
+	gen, _ := j.CheckpointStatus()
+	return j.acc.Gen() - gen, true
 }
 
 // closeCheckpoint closes the checkpoint file handle (job teardown).

@@ -419,12 +419,11 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 }
 
-// TestDeferredLocals covers the epoch job's borrowed-local pool: records
-// ingested through locals publish on FlushIdle, and Shutdown's final flush
-// makes them durable.
-func TestDeferredLocals(t *testing.T) {
-	dir := t.TempDir()
-	r, _ := NewRegistry(dir, 0, nil)
+// TestBorrowedLocals covers the locals a job lends out of its epoch-merged
+// accumulator's pool: PutLocal publishes whatever the borrower left
+// unflushed.
+func TestBorrowedLocals(t *testing.T) {
+	r, _ := NewRegistry("", 0, nil)
 	j, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
@@ -446,36 +445,62 @@ func TestDeferredLocals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j.PutLocal(l)
 	if gen := j.Acc().Gen(); gen != 0 {
 		t.Fatalf("unflushed local already published gen %d", gen)
 	}
-	if applied, dropped := j.FlushIdle(); applied != 80 || dropped != 0 {
-		t.Fatalf("flush applied %d dropped %d", applied, dropped)
-	}
-	if gen := j.Acc().Gen(); gen != 80 {
-		t.Fatalf("gen after flush = %d", gen)
-	}
-
-	// Records still parked in a local at shutdown are flushed before the
-	// final checkpoint.
-	l = j.TakeLocal()
-	for i := 80; i < 100; i++ {
-		if err := l.Ingest(jobObs(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	j.PutLocal(l)
-	if err := r.Shutdown(); err != nil {
+	if gen := j.Acc().Gen(); gen != 80 {
+		t.Fatalf("gen after PutLocal = %d, want 80", gen)
+	}
+}
+
+// TestRecordsSinceCheckpoint pins the at-risk count: Gen minus the last
+// frame's generation, reported for every job with a checkpoint path —
+// before its first frame too — and zero right after a checkpoint or a
+// restore.
+func TestRecordsSinceCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	r, _ := NewRegistry(dir, 0, nil)
+	j, err := r.Create(testSpec("alpha"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if n, ok := j.RecordsSinceCheckpoint(); !ok || n != 0 {
+		t.Fatalf("fresh job: records since checkpoint = %d, %v; want 0, true", n, ok)
+	}
+	ingestRange(t, j, 0, 50)
+	if n, _ := j.RecordsSinceCheckpoint(); n != 50 {
+		t.Fatalf("before the first frame: records since checkpoint = %d, want 50", n)
+	}
+	if _, err := j.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := j.RecordsSinceCheckpoint(); n != 0 {
+		t.Fatalf("after checkpoint: records since checkpoint = %d, want 0", n)
+	}
+	ingestRange(t, j, 50, 60)
+	if n, _ := j.RecordsSinceCheckpoint(); n != 10 {
+		t.Fatalf("after 10 more: records since checkpoint = %d, want 10", n)
+	}
+
+	// A restore resumes at the last frame: nothing is at risk yet.
 	r2, _ := NewRegistry(dir, 0, nil)
 	j2, err := r2.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen := j2.Acc().Gen(); gen != 100 {
-		t.Fatalf("restored gen = %d, want 100 (shutdown flush lost records)", gen)
+	if n, ok := j2.RecordsSinceCheckpoint(); !ok || n != 0 || j2.Acc().Gen() != 50 {
+		t.Fatalf("restored job: records since checkpoint = %d, %v at gen %d; want 0, true at 50", n, ok, j2.Acc().Gen())
+	}
+
+	// Without a checkpoint path there is no durable state to measure.
+	mem, _ := NewRegistry("", 0, nil)
+	jm, err := mem.Create(testSpec("mem"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := jm.RecordsSinceCheckpoint(); ok {
+		t.Fatal("job without a checkpoint path reported records since checkpoint")
 	}
 }
 

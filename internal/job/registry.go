@@ -301,7 +301,6 @@ func (r *Registry) Delete(name string) error {
 	delete(r.jobs, name)
 	r.mu.Unlock()
 
-	j.closeLocals()
 	j.closeCheckpoint()
 	if j.ckptPath != "" {
 		if err := os.Remove(j.ckptPath); err != nil && !os.IsNotExist(err) {
@@ -332,17 +331,6 @@ func (r *Registry) CheckpointAll() (written int, firstErr error) {
 	return written, firstErr
 }
 
-// FlushIdleAll publishes every job's idle deferred-ingest locals, returning
-// the record totals across all jobs.
-func (r *Registry) FlushIdleAll() (applied, dropped int) {
-	for _, j := range r.List() {
-		a, d := j.FlushIdle()
-		applied += a
-		dropped += d
-	}
-	return applied, dropped
-}
-
 // Start launches the periodic checkpoint ticker (no-op unless a directory
 // and a positive interval are configured).
 func (r *Registry) Start() {
@@ -366,17 +354,16 @@ func (r *Registry) Start() {
 	}()
 }
 
-// Shutdown stops the ticker, publishes any deferred locals, writes one final
-// checkpoint per job, and closes the checkpoint files. After Shutdown every
-// acknowledged record is durable (when a checkpoint directory is
-// configured).
+// Shutdown stops the ticker, writes one final checkpoint per job, and closes
+// the checkpoint files. Ingest publishes every record before acknowledging
+// it, so after Shutdown every acknowledged record is durable (when a
+// checkpoint directory is configured).
 func (r *Registry) Shutdown() error {
 	if r.tickStop != nil {
 		close(r.tickStop)
 		<-r.tickDone
 		r.tickStop, r.tickDone = nil, nil
 	}
-	r.FlushIdleAll()
 	_, err := r.CheckpointAll()
 	for _, j := range r.List() {
 		j.closeCheckpoint()

@@ -132,8 +132,8 @@ type EpochAccumulator struct {
 	mu sync.Mutex
 	view
 
-	// pool recycles the internal Locals behind Ingest/IngestBatch so the
-	// compatibility path does not allocate an epoch (sums + replicate
+	// pool recycles the Locals behind IngestBatch and TakeLocal so a
+	// request-scoped writer does not allocate an epoch (sums + replicate
 	// grids) per call.
 	pool sync.Pool
 }
@@ -224,8 +224,8 @@ func (ea *EpochAccumulator) Ingest(rec sample.NodeObservation) error {
 // *FlushConflictError, whose counts cover the flushed records recs[:n+dropped]
 // and wrap the validation error of recs[n+dropped], if any.
 func (ea *EpochAccumulator) IngestBatch(recs []sample.NodeObservation) (int, error) {
-	l := ea.pool.Get().(*Local)
-	defer ea.pool.Put(l)
+	l := ea.TakeLocal()
+	defer ea.PutLocal(l)
 	var err error
 	for _, rec := range recs {
 		if err = l.Ingest(rec); err != nil {
@@ -237,6 +237,20 @@ func (ea *EpochAccumulator) IngestBatch(recs []sample.NodeObservation) (int, err
 		return applied, &FlushConflictError{Applied: applied, Dropped: dropped, Err: err}
 	}
 	return applied, err
+}
+
+// TakeLocal borrows a writer-private Local from the accumulator's pool —
+// the request-scoped alternative to NewLocal for writers that ingest one
+// batch and publish it before answering. The caller owns the Local until it
+// hands it back with PutLocal.
+func (ea *EpochAccumulator) TakeLocal() *Local { return ea.pool.Get().(*Local) }
+
+// PutLocal publishes whatever the borrowed Local still holds and returns it
+// to the pool. Callers that need the applied and dropped counts Flush
+// before PutLocal; the flush here then finds an empty epoch.
+func (ea *EpochAccumulator) PutLocal(l *Local) {
+	l.Flush()
+	ea.pool.Put(l)
 }
 
 // FlushConflictError reports records dropped at a flush: they validated
