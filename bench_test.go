@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -523,6 +524,110 @@ func BenchmarkStreamIngestLocal(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkStreamIngestWide is the cache-cold counterpart of
+// BenchmarkStreamIngestLocal, shaped like perfbench's star-bin-wide
+// workload: one writer ingests 500-record batches (one epoch each on the
+// epoch engine) of uniform draws over a 2,000,000-node id space with K = 20,
+// about three records in four carrying their node's star data. The node
+// directory outgrows every cache as b.N rises, so most first touches are
+// cold probes, and a directory the GC has to trace shows up in the
+// gc-cycles/Mrec and gc-pause-ms/Mrec metrics (per 10⁶ records) as well as
+// in ns/op (one op is one record). Records are generated with the timer
+// stopped, 64Ki at a time, into a reused buffer whose star lists point into
+// shared per-node templates, so neither the generator nor its garbage is
+// measured.
+func BenchmarkStreamIngestWide(b *testing.B) {
+	const nodes, k, batch, chunk = 2_000_000, 20, 500, 1 << 16
+	tmpl := wideTemplates(k)
+	cfg := stream.Config{K: k, Star: true, N: nodes}
+	for _, impl := range []string{"single-lock", "epoch"} {
+		b.Run(impl, func(b *testing.B) {
+			var acc stream.Ingester
+			var err error
+			if impl == "epoch" {
+				acc, err = stream.NewEpochAccumulator(cfg)
+			} else {
+				acc, err = stream.NewAccumulator(cfg)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]sample.NodeObservation, chunk)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				b.StopTimer()
+				recs := buf[:min(chunk, b.N-done)]
+				for i := range recs {
+					recs[i] = wideRecord(tmpl, nodes, done+i)
+				}
+				b.StartTimer()
+				for len(recs) > 0 {
+					n := min(batch, len(recs))
+					if _, err := acc.IngestBatch(recs[:n]); err != nil {
+						b.Fatal(err)
+					}
+					recs = recs[n:]
+					done += n
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perM := 1e6 / float64(b.N)
+			b.ReportMetric(float64(after.NumGC-before.NumGC)*perM, "gc-cycles/Mrec")
+			b.ReportMetric(float64(after.PauseTotalNs-before.PauseTotalNs)/1e6*perM, "gc-pause-ms/Mrec")
+		})
+	}
+}
+
+// wideTemplates returns 4096 canonical star payloads over k ≥ 6
+// categories: degree 1…48 and one to six consecutive neighbor categories
+// whose counts sum to the degree.
+func wideTemplates(k int) []sample.NodeObservation {
+	tmpl := make([]sample.NodeObservation, 4096)
+	for t := range tmpl {
+		deg := 1 + t%48
+		m := 1 + (t/48)%min(deg, 6)
+		first := t % (k - 5)
+		rec := sample.NodeObservation{Cat: int32(t % k), Weight: float64(deg), Deg: float64(deg)}
+		for j := 0; j < m; j++ {
+			cnt := 1
+			if j == m-1 {
+				cnt = deg - (m - 1)
+			}
+			rec.NbrCat = append(rec.NbrCat, int32(first+j))
+			rec.NbrCnt = append(rec.NbrCnt, float64(cnt))
+		}
+		tmpl[t] = rec
+	}
+	return tmpl
+}
+
+// wideRecord is record i of the BenchmarkStreamIngestWide stream: a node
+// drawn uniformly from [0, nodes) by a splitmix64 hash of i, with the
+// template its id hashes to, so every draw of a node agrees with its first;
+// one record in four is a bare draw without the star data.
+func wideRecord(tmpl []sample.NodeObservation, nodes, i int) sample.NodeObservation {
+	h := splitmix64(uint64(i))
+	node := int32(h % uint64(nodes))
+	rec := tmpl[splitmix64(uint64(node)^0x5bd1e995)%uint64(len(tmpl))]
+	rec.Node = node
+	if (h>>40)%4 == 0 {
+		rec.Deg, rec.NbrCat, rec.NbrCnt = 0, nil, nil
+	}
+	return rec
+}
+
+func splitmix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // BenchmarkStreamIngestBootstrapSparse measures the bootstrap overhead of

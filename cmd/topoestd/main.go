@@ -103,7 +103,9 @@
 //	GET    /jobs             list jobs with stream position, crawl state
 //	                         and checkpoint state, including
 //	                         "records_since_checkpoint": the acknowledged
-//	                         records a crash would lose
+//	                         records a crash would lose, and for
+//	                         epoch-merged jobs "directory_bytes": the
+//	                         memory their node directory holds
 //	DELETE /jobs/{job}       delete a job and its checkpoint file — the
 //	                         stream is discarded durably. 400 for "default",
 //	                         409 while the job's crawl is running
@@ -1526,6 +1528,9 @@ func jobDoc(j *job.Job) map[string]any {
 	}
 	if n, ok := j.RecordsSinceCheckpoint(); ok {
 		doc["records_since_checkpoint"] = n
+	}
+	if ea, ok := acc.(*stream.EpochAccumulator); ok {
+		doc["directory_bytes"] = ea.DirectoryBytes()
 	}
 	return doc
 }

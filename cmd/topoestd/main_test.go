@@ -1231,3 +1231,68 @@ func TestMetricsEndToEndPackedCrawl(t *testing.T) {
 		t.Errorf("pack cache hits did not advance: %g -> %g", first["graph_pack_cache_hits_total"], second["graph_pack_cache_hits_total"])
 	}
 }
+
+// TestDirectoryBytesInJobDocs checks the node-directory memory gauge in the
+// job documents: epoch-merged jobs report "directory_bytes" in /jobs and in
+// the /healthz jobs section, it grows when new nodes are ingested and holds
+// still on re-draws, and single-lock jobs omit it.
+func TestDirectoryBytesInJobDocs(t *testing.T) {
+	acc, err := stream.NewEpochAccumulator(stream.Config{K: 2, Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(acc, nil)
+	if w := post(t, srv, "/jobs", `{"name":"induced","star":false}`); w.Code != 201 {
+		t.Fatalf("create induced job: %d %s", w.Code, w.Body)
+	}
+	dirBytes := func() float64 {
+		t.Helper()
+		var list struct {
+			Jobs []map[string]any `json:"jobs"`
+		}
+		mustDecode(t, get(t, srv, "/jobs").Body.Bytes(), &list)
+		var health struct {
+			Jobs map[string]map[string]any `json:"jobs"`
+		}
+		mustDecode(t, get(t, srv, "/healthz").Body.Bytes(), &health)
+		var n float64
+		for _, doc := range list.Jobs {
+			v, ok := doc["directory_bytes"]
+			switch {
+			case doc["accumulator"] == "single-lock" && ok:
+				t.Fatalf("single-lock job %v reports directory_bytes", doc["name"])
+			case doc["accumulator"] == "epoch-merged":
+				n, _ = v.(float64)
+				if h := health.Jobs[doc["name"].(string)]["directory_bytes"]; h != v {
+					t.Fatalf("/healthz directory_bytes %v, /jobs %v", h, v)
+				}
+			}
+		}
+		if n <= 0 {
+			t.Fatalf("epoch job directory_bytes = %v", n)
+		}
+		return n
+	}
+	before := dirBytes()
+	var recs []sample.NodeObservation
+	for v := int32(0); v < 2000; v++ {
+		recs = append(recs, sample.NodeObservation{Node: v, Cat: v % 2, Deg: 2, NbrCat: []int32{(v + 1) % 2}, NbrCnt: []float64{2}})
+	}
+	body, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := post(t, srv, "/ingest", string(body)); w.Code != 200 {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body)
+	}
+	grown := dirBytes()
+	if grown <= before {
+		t.Fatalf("directory_bytes %v after 2000 new nodes, %v before", grown, before)
+	}
+	if w := post(t, srv, "/ingest", string(body)); w.Code != 200 {
+		t.Fatalf("re-draw ingest: %d %s", w.Code, w.Body)
+	}
+	if again := dirBytes(); again != grown {
+		t.Fatalf("re-draws moved directory_bytes from %v to %v", grown, again)
+	}
+}

@@ -30,7 +30,7 @@ import (
 //     the node's constants (category, weight) against the directory,
 //     reserve the node's draw interval [m, m+c) by advancing its published
 //     multiplicity, and reconcile star data both ways (late-star backfill,
-//     degree retrofit). Stripes are padded to a cache line and touched once
+//     degree retrofit). Stripes span whole cache lines and are touched once
 //     per DISTINCT node per epoch, not once per record.
 //  2. Under the accumulator's single mutex: merge the epoch's core.Sums and
 //     bootstrap replicates (core.Sums.Merge / uncert.Replicates.Merge) and
@@ -58,6 +58,15 @@ import (
 // returning, so the Ingester-level contract — an acked record is included
 // in any snapshot taken after a Gen read that postdates the ack — is
 // unchanged from the single-lock accumulator.
+//
+// The node directory holds no Go pointer per node (directory.go): each
+// stripe keeps an open-addressed index, a slab of inline entries and
+// append-only star arenas, all of pointer-free element types. At ~10⁶
+// distinct nodes a pointer per node would make every GC mark phase trace
+// the whole directory; this way the GC marks one pointer per chunk of about
+// a thousand entries, and a flush's directory writes need no write
+// barriers. A Local keeps the slab position of each node it found at first
+// touch, so the flush reaches the entry again without a second probe.
 
 // epochStripes is the size of the shared node directory's lock striping
 // (power of two; 64 stripes keeps contention negligible far beyond the
@@ -69,32 +78,6 @@ const epochStripes = 64
 // view fresh and the epoch's node map cache-resident. Callers that want
 // smaller epochs flush their Local explicitly.
 const flushEvery = 1024
-
-// sharedNode is the published per-node state in the accumulator's striped
-// directory: the per-node constants every epoch must agree on, the flushed
-// multiplicity, and the reconciled star data. Entries are never removed or
-// replaced, and cat and weight never change once published, so a
-// *sharedNode and its constants may be read without the stripe lock; the
-// multiplicity and star data are read and written under it. Slices are
-// replaced, never mutated in place, so a reference read under the stripe
-// lock stays valid after release.
-type sharedNode struct {
-	mult     float64
-	weight   float64
-	cat      int32
-	starSeen bool
-	deg      float64
-	nbrCat   []int32
-	nbrCnt   []float64
-}
-
-// nodeStripe is one lock-striped slice of the node directory, padded so
-// that adjacent stripes' locks never share a cache line.
-type nodeStripe struct {
-	mu    sync.Mutex
-	nodes map[int32]*sharedNode
-	_     [40]byte
-}
 
 // EpochAccumulator is the multi-core accumulator: writers ingest into
 // private Locals (NewLocal) and publish by flushing epochs, so the
@@ -162,7 +145,7 @@ func NewEpochAccumulator(cfg Config) (*EpochAccumulator, error) {
 		ea.reps = reps
 	}
 	for i := range ea.stripes {
-		ea.stripes[i].nodes = make(map[int32]*sharedNode)
+		ea.stripes[i].init(cfg.K)
 	}
 	ea.pool.New = func() any { return ea.newLocal(false) }
 	return ea, nil
@@ -183,17 +166,24 @@ func (ea *EpochAccumulator) Draws() int { return int(ea.gen.Load()) }
 // Distinct returns the number of distinct nodes in the published view.
 func (ea *EpochAccumulator) Distinct() int { return int(ea.distinct.Load()) }
 
-// stripeFor routes a node id to its directory stripe with a full-avalanche
-// integer hash (the 32-bit "lowbias" mix), so adjacent crawler id ranges
-// spread evenly.
+// DirectoryBytes returns the memory the node directory holds: every
+// stripe's index, plus the capacities of its entry slab and star arenas
+// (abandoned runs included). It reads one stripe lock at a time, so under
+// concurrent flushes the total is a sum of per-stripe cuts.
+func (ea *EpochAccumulator) DirectoryBytes() int64 {
+	var n int64
+	for i := range ea.stripes {
+		st := &ea.stripes[i]
+		st.mu.Lock()
+		n += st.bytes()
+		st.mu.Unlock()
+	}
+	return n
+}
+
+// stripeFor routes a node id to its directory stripe.
 func (ea *EpochAccumulator) stripeFor(node int32) *nodeStripe {
-	h := uint32(node)
-	h ^= h >> 16
-	h *= 0x7feb352d
-	h ^= h >> 15
-	h *= 0x846ca68b
-	h ^= h >> 16
-	return &ea.stripes[h&(epochStripes-1)]
+	return &ea.stripes[dirHash(node)&(epochStripes-1)]
 }
 
 // Ingest folds one node observation through an internal Local and flushes
@@ -286,15 +276,15 @@ func (ea *EpochAccumulator) Snapshot() (*Snapshot, error) {
 
 // localNode is one node's epoch-private state: the draw count of this
 // epoch, the node's constants (read from the shared directory at first
-// touch, or fixed by the epoch's first record), its directory entry when
-// one existed at first touch, and the epoch's merged star view.
-// nbrCat/nbrCnt reuse their backing arrays across epochs.
+// touch, or fixed by the epoch's first record), the ref of its directory
+// entry when one existed at first touch (0 otherwise), and the epoch's
+// merged star view. nbrCat/nbrCnt reuse their backing arrays across epochs.
 type localNode struct {
 	node     int32
 	cat      int32
 	count    float64
 	weight   float64
-	shared   *sharedNode
+	ref      uint32
 	starSeen bool
 	deg      float64
 	nbrCat   []int32
@@ -397,19 +387,19 @@ func (l *Local) Close() (applied, dropped int) {
 	return applied, dropped
 }
 
-// lookupShared returns a node's directory entry (nil when the node is not
-// in the directory yet) together with its star data, read under the stripe
-// lock. The entry's constants (cat, weight) are immutable and may be read
-// without the lock, and the returned slices stay valid after it is
-// released: directory slices are replaced, never mutated.
-func (ea *EpochAccumulator) lookupShared(node int32) (sh *sharedNode, starSeen bool, deg float64, nbrCat []int32, nbrCnt []float64) {
+// lookupShared copies a node's directory entry under the stripe lock,
+// together with its ref (0 when the node is not in the directory yet) and
+// its star run, which stays valid after the lock is released (runs are
+// append-only).
+func (ea *EpochAccumulator) lookupShared(node int32) (e dirEntry, ref uint32, nbrCat []int32, nbrCnt []float64) {
 	st := ea.stripeFor(node)
 	st.mu.Lock()
-	if sh = st.nodes[node]; sh != nil {
-		starSeen, deg, nbrCat, nbrCnt = sh.starSeen, sh.deg, sh.nbrCat, sh.nbrCnt
+	if _, ref = st.find(node); ref != 0 {
+		e = *st.entry(ref)
+		nbrCat, nbrCnt = st.star(&e)
 	}
 	st.mu.Unlock()
-	return sh, starSeen, deg, nbrCat, nbrCnt
+	return e, ref, nbrCat, nbrCnt
 }
 
 // Ingest folds one node observation into the epoch. Validation matches the
@@ -436,16 +426,16 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 		w = 1
 	}
 	var ln *localNode
-	var shared *sharedNode
-	var shStar bool
-	var shDeg float64
+	var sh dirEntry
+	var ref uint32
 	var shCat []int32
 	var shCnt []float64
 	if idx, known := l.epoch[rec.Node]; known {
 		ln = &l.nodes[idx]
 	} else {
-		shared, shStar, shDeg, shCat, shCnt = l.ea.lookupShared(rec.Node)
+		sh, ref, shCat, shCnt = l.ea.lookupShared(rec.Node)
 	}
+	shStar, shDeg := sh.starSeen(), sh.deg
 	// The node's constants as this epoch knows them: from its earlier
 	// records, or from the directory entry just read.
 	knownCat, knownWeight := rec.Cat, w
@@ -453,8 +443,8 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 	switch {
 	case ln != nil:
 		knownCat, knownWeight, constrained = ln.cat, ln.weight, true
-	case shared != nil:
-		knownCat, knownWeight, constrained = shared.cat, shared.weight, true
+	case ref != 0:
+		knownCat, knownWeight, constrained = sh.cat, sh.weight, true
 	}
 	if constrained {
 		if rec.Cat != knownCat {
@@ -506,7 +496,7 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 		ln = &l.nodes[n]
 		ln.node, ln.cat, ln.weight = rec.Node, knownCat, knownWeight
 		ln.count = 0
-		ln.shared = shared
+		ln.ref = ref
 		ln.starSeen = shStar
 		if shStar {
 			ln.deg = shDeg
@@ -569,8 +559,8 @@ func (l *Local) publish() (applied, dropped int) {
 		st := ea.stripeFor(ln.node)
 
 		// Phase 1 for this node: validate, reserve [m, m+c), reconcile
-		// star data. Slices referenced out of the directory stay valid
-		// after unlock (replace-not-mutate discipline).
+		// star data. Star runs read out of the directory stay valid after
+		// unlock (the arenas are append-only).
 		var m float64
 		var viewSeen bool
 		var viewDeg float64
@@ -580,25 +570,24 @@ func (l *Local) publish() (applied, dropped int) {
 		var retroCat []int32
 		var retroCnt []float64
 		st.mu.Lock()
-		sh := ln.shared
-		if sh == nil {
+		ref := ln.ref
+		var slot int
+		if ref == 0 {
 			// Unknown at first touch; another writer may have published
 			// the node since.
-			sh = st.nodes[ln.node]
+			slot, ref = st.find(ln.node)
 		}
-		if sh == nil {
-			sh = &sharedNode{mult: c, weight: ln.weight, cat: ln.cat}
+		if ref == 0 {
+			e := dirEntry{node: ln.node, cat: ln.cat, mult: c, weight: ln.weight}
 			if ln.starSeen {
-				sh.starSeen = true
-				sh.deg = ln.deg
-				sh.nbrCat = append([]int32(nil), ln.nbrCat...)
-				sh.nbrCnt = append([]float64(nil), ln.nbrCnt...)
+				st.setStar(&e, ln.deg, ln.nbrCat, ln.nbrCnt)
 			}
-			st.nodes[ln.node] = sh
-			ea.distinct.Add(1)
-			viewSeen, viewDeg, viewCat, viewCnt = sh.starSeen, sh.deg, sh.nbrCat, sh.nbrCnt
+			st.insert(slot, e)
 			st.mu.Unlock()
+			ea.distinct.Add(1)
+			viewSeen, viewDeg, viewCat, viewCnt = ln.starSeen, ln.deg, ln.nbrCat, ln.nbrCnt
 		} else {
+			sh := st.entry(ref)
 			if ln.cat != sh.cat || ln.weight != sh.weight {
 				st.mu.Unlock()
 				dropped += int(c)
@@ -606,42 +595,38 @@ func (l *Local) publish() (applied, dropped int) {
 				continue
 			}
 			m = sh.mult
+			shCat, shCnt := st.star(sh)
 			conflict := false
 			switch {
-			case ln.starSeen && sh.starSeen:
-				d, ct, cn, err := sample.ReconcileStarData(ln.node, ln.deg, ln.nbrCat, ln.nbrCnt, sh.deg, sh.nbrCat, sh.nbrCnt)
+			case ln.starSeen && sh.starSeen():
+				d, ct, cn, err := sample.ReconcileStarData(ln.node, ln.deg, ln.nbrCat, ln.nbrCnt, sh.deg, shCat, shCnt)
 				if err != nil {
 					conflict = true
 					break
 				}
-				if d != sh.deg || len(ct) != len(sh.nbrCat) {
+				if d != sh.deg || len(ct) != len(shCat) {
 					// Retrofit the directory's m earlier draws with the
 					// upgraded information: the degree delta, plus the
 					// adopted counts when the stored list grew.
 					retroDeg = d - sh.deg
-					if len(ct) != len(sh.nbrCat) {
+					if len(ct) != len(shCat) {
 						retroCat, retroCnt = ct, cn
 					}
-					sh.deg = d
-					sh.nbrCat = append([]int32(nil), ct...)
-					sh.nbrCnt = append([]float64(nil), cn...)
+					st.setStar(sh, d, ct, cn)
 				}
-				viewSeen, viewDeg, viewCat, viewCnt = true, sh.deg, sh.nbrCat, sh.nbrCnt
-			case ln.starSeen && !sh.starSeen:
+				viewSeen, viewDeg, viewCat, viewCnt = true, d, ct, cn
+			case ln.starSeen && !sh.starSeen():
 				// Late-star backfill across epochs: the directory's m
 				// draws contributed zero star mass; credit them with the
 				// epoch's star data.
-				sh.starSeen = true
-				sh.deg = ln.deg
-				sh.nbrCat = append([]int32(nil), ln.nbrCat...)
-				sh.nbrCnt = append([]float64(nil), ln.nbrCnt...)
-				retroDeg = sh.deg
-				retroCat, retroCnt = sh.nbrCat, sh.nbrCnt
-				viewSeen, viewDeg, viewCat, viewCnt = true, sh.deg, sh.nbrCat, sh.nbrCnt
-			case !ln.starSeen && sh.starSeen:
+				st.setStar(sh, ln.deg, ln.nbrCat, ln.nbrCnt)
+				retroDeg = ln.deg
+				retroCat, retroCnt = ln.nbrCat, ln.nbrCnt
+				viewSeen, viewDeg, viewCat, viewCnt = true, ln.deg, ln.nbrCat, ln.nbrCnt
+			case !ln.starSeen && sh.starSeen():
 				// The epoch's draws carried no star data but the
 				// directory has it: credit them with the published view.
-				viewSeen, viewDeg, viewCat, viewCnt = true, sh.deg, sh.nbrCat, sh.nbrCnt
+				viewSeen, viewDeg, viewCat, viewCnt = true, sh.deg, shCat, shCnt
 			}
 			if conflict {
 				st.mu.Unlock()
@@ -670,7 +655,7 @@ func (l *Local) publish() (applied, dropped int) {
 				l.reps.AddStar(ln.node, cat, w, c, viewDeg, viewCat, viewCnt)
 			}
 		}
-		if m > 0 && (retroDeg != 0 || retroCat != nil) {
+		if m > 0 && (retroDeg != 0 || len(retroCat) > 0) {
 			l.sums.AddStar(cat, w, m, retroDeg, retroCat, retroCnt)
 			if l.reps != nil {
 				l.reps.AddStar(ln.node, cat, w, m, retroDeg, retroCat, retroCnt)

@@ -3,8 +3,10 @@ package stream
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/randx"
 	"repro/internal/sample"
@@ -728,5 +730,94 @@ func TestEpochSnapshotDuringMerge(t *testing.T) {
 	}
 	if ea.Draws() != len(recs) {
 		t.Fatalf("Draws() = %d, want %d", ea.Draws(), len(recs))
+	}
+}
+
+// TestEpochDirectoryHasNoPointers pins the node directory to types the GC
+// never scans: the element types of a stripe's index, entry slab and star
+// arenas may hold no pointer, slice, map, string, interface, chan, func or
+// unsafe pointer at any depth. A field that did would put every published
+// node back into the GC's mark phase. It also checks that stripes stay
+// whole cache lines apart.
+func TestEpochDirectoryHasNoPointers(t *testing.T) {
+	var st nodeStripe
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(st.index).Elem(),
+		reflect.TypeOf(st.entries.chunks).Elem().Elem(),
+		reflect.TypeOf(st.nbrCat.chunks).Elem().Elem(),
+		reflect.TypeOf(st.nbrCnt.chunks).Elem().Elem(),
+	} {
+		if path := pointerPath(typ, typ.String()); path != "" {
+			t.Errorf("directory type %s holds a pointer at %s", typ, path)
+		}
+	}
+	// The walker itself must see pointers where they are.
+	if pointerPath(reflect.TypeOf(localNode{}), "localNode") == "" {
+		t.Error("pointerPath missed localNode's slices")
+	}
+	if sz := unsafe.Sizeof(st); sz%64 != 0 {
+		t.Errorf("nodeStripe is %d bytes, not a whole number of 64-byte cache lines", sz)
+	}
+}
+
+// pointerPath returns the path to the first pointer-carrying component of
+// typ, or "" when a value of typ holds no pointers.
+func pointerPath(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return path + " (" + typ.Kind().String() + ")"
+	case reflect.Array:
+		return pointerPath(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerPath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// TestEpochDirectoryBytes checks the directory's memory gauge: it grows
+// when new nodes are published and stays put when known nodes are re-drawn,
+// with or without their star data.
+func TestEpochDirectoryBytes(t *testing.T) {
+	ea, err := NewEpochAccumulator(Config{K: 4, Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := ea.DirectoryBytes()
+	if empty <= 0 {
+		t.Fatalf("empty directory reports %d bytes", empty)
+	}
+	recs := make([]sample.NodeObservation, 5000)
+	for i := range recs {
+		v := int32(i)
+		recs[i] = sample.NodeObservation{Node: v, Cat: v % 4, Deg: 5,
+			NbrCat: []int32{v % 4, (v + 1) % 4}, NbrCnt: []float64{2, 3}}
+		if recs[i].NbrCat[0] > recs[i].NbrCat[1] {
+			recs[i].NbrCat[0], recs[i].NbrCat[1] = recs[i].NbrCat[1], recs[i].NbrCat[0]
+		}
+	}
+	if _, err := ea.IngestBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	full := ea.DirectoryBytes()
+	if full <= empty {
+		t.Fatalf("directory bytes %d after publishing %d nodes, %d when empty", full, len(recs), empty)
+	}
+	bare := make([]sample.NodeObservation, len(recs))
+	for i, rec := range recs {
+		bare[i] = sample.NodeObservation{Node: rec.Node, Cat: rec.Cat}
+	}
+	for _, redraw := range [][]sample.NodeObservation{recs, bare} {
+		if _, err := ea.IngestBatch(redraw); err != nil {
+			t.Fatal(err)
+		}
+		if got := ea.DirectoryBytes(); got != full {
+			t.Fatalf("re-drawing known nodes moved directory bytes from %d to %d", full, got)
+		}
 	}
 }

@@ -115,13 +115,17 @@ func (ea *EpochAccumulator) ExportFull() (*FullState, error) {
 	for i := range ea.stripes {
 		stp := &ea.stripes[i]
 		stp.mu.Lock()
-		for id, sh := range stp.nodes {
-			nodes = append(nodes, NodeRecord{
-				Node: id, Cat: sh.cat, Mult: sh.mult, Weight: sh.weight,
-				StarSeen: sh.starSeen, Deg: sh.deg,
-				NbrCat: append([]int32(nil), sh.nbrCat...),
-				NbrCnt: append([]float64(nil), sh.nbrCnt...),
-			})
+		for _, chunk := range stp.entries.chunks {
+			for j := range chunk {
+				e := &chunk[j]
+				nbrCat, nbrCnt := stp.star(e)
+				nodes = append(nodes, NodeRecord{
+					Node: e.node, Cat: e.cat, Mult: e.mult, Weight: e.weight,
+					StarSeen: e.starSeen(), Deg: e.deg,
+					NbrCat: append([]int32(nil), nbrCat...),
+					NbrCnt: append([]float64(nil), nbrCnt...),
+				})
+			}
 		}
 		stp.mu.Unlock()
 	}
@@ -172,6 +176,9 @@ func validateFull(cfg Config, fs *FullState) error {
 		}
 		if len(nr.NbrCat) != len(nr.NbrCnt) {
 			return fmt.Errorf("stream: restore: node %d has %d neighbor categories but %d counts", nr.Node, len(nr.NbrCat), len(nr.NbrCnt))
+		}
+		if len(nr.NbrCat) > cfg.K {
+			return fmt.Errorf("stream: restore: node %d has %d neighbor categories, more than the %d categories", nr.Node, len(nr.NbrCat), cfg.K)
 		}
 		if cfg.Star && len(nr.Peers) > 0 {
 			return fmt.Errorf("stream: restore: node %d carries induced peers under the star scenario", nr.Node)
@@ -265,15 +272,16 @@ func RestoreEpochAccumulator(cfg Config, fs *FullState) (*EpochAccumulator, erro
 	for i := range fs.Nodes {
 		nr := &fs.Nodes[i]
 		stp := ea.stripeFor(nr.Node)
-		if _, dup := stp.nodes[nr.Node]; dup {
+		slot, ref := stp.find(nr.Node)
+		if ref != 0 {
 			return nil, fmt.Errorf("stream: restore: duplicate node record %d", nr.Node)
 		}
-		stp.nodes[nr.Node] = &sharedNode{
-			mult: nr.Mult, weight: nr.Weight, cat: nr.Cat,
-			starSeen: nr.StarSeen, deg: nr.Deg,
-			nbrCat: append([]int32(nil), nr.NbrCat...),
-			nbrCnt: append([]float64(nil), nr.NbrCnt...),
+		e := dirEntry{node: nr.Node, cat: nr.Cat, mult: nr.Mult, weight: nr.Weight}
+		stp.setStar(&e, nr.Deg, nr.NbrCat, nr.NbrCnt)
+		if !nr.StarSeen {
+			e.starLen &^= starSeenBit
 		}
+		stp.insert(slot, e)
 	}
 	ea.distinct.Store(int64(len(fs.Nodes)))
 	ea.gen.Store(fs.State.Gen)

@@ -287,7 +287,8 @@ func TestRestoreInducedPeers(t *testing.T) {
 
 // TestRestoreValidation exercises the identity checks: a FullState only
 // restores under a configuration matching its partition, scenario and
-// bootstrap shape, with a directory consistent with its scalars.
+// bootstrap shape, with a directory consistent with its scalars and star
+// lists of at most K categories.
 func TestRestoreValidation(t *testing.T) {
 	cfg := Config{K: 5, Star: true, Replicates: uncert.Config{B: 8, Seed: 1}}
 	acc, err := NewAccumulator(cfg)
@@ -314,6 +315,12 @@ func TestRestoreValidation(t *testing.T) {
 		t.Error("restore accepted distinct ≠ len(nodes)")
 	}
 	fs.State.Distinct--
+	first := fs.Nodes[0]
+	fs.Nodes[0].NbrCat, fs.Nodes[0].NbrCnt = make([]int32, cfg.K+1), make([]float64, cfg.K+1)
+	if _, err := RestoreEpochAccumulator(cfg, fs); err == nil {
+		t.Error("restore accepted a star list longer than K")
+	}
+	fs.Nodes[0] = first
 	fs.Nodes[1] = fs.Nodes[0]
 	fs.State.Distinct = int64(len(fs.Nodes))
 	if _, err := RestoreAccumulator(cfg, fs); err == nil {
