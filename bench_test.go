@@ -950,6 +950,68 @@ func BenchmarkStreamIngestBootstrap(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamIngestInducedBootstrap measures the induced write path
+// with bootstrap replicates, shaped like perfbench's induced-json-boot
+// workload: a single-lock induced accumulator over a random walk of the
+// paper graph, fed in 10-record IngestBatch calls. The walk runs 30,000
+// records untimed first, so the timed records are mostly re-draws whose
+// node replays its multiplicity change over many observed incident edges —
+// the AddEdgeMass path, where each edge needs the peer's B replicate
+// weights. Records are generated with the timer stopped, continuing the
+// same walk; one op is one record.
+func BenchmarkStreamIngestInducedBootstrap(b *testing.B) {
+	const warm, batch, chunk = 30_000, 10, 4096
+	g := getPaperGraph(b)
+	for _, B := range []int{0, 200} {
+		acc, err := stream.NewAccumulator(stream.Config{
+			K: g.NumCategories(), Star: false, N: float64(g.N()),
+			Replicates: uncert.Config{B: B, Seed: 1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := randx.New(23)
+		cur, err := sample.RandomStart(r, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		so, err := sample.NewStreamObserver(g, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		step := sample.NewRWStepper(g)
+		walk := func(recs []sample.NodeObservation) {
+			for i := range recs {
+				recs[i] = so.Observe(cur, step.Weight(cur))
+				cur = step.Step(r, cur)
+			}
+		}
+		buf := make([]sample.NodeObservation, warm)
+		walk(buf)
+		if _, err := acc.IngestBatch(buf); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				b.StopTimer()
+				recs := buf[:min(chunk, b.N-done)]
+				walk(recs)
+				b.StartTimer()
+				for len(recs) > 0 {
+					n := min(batch, len(recs))
+					if _, err := acc.IngestBatch(recs[:n]); err != nil {
+						b.Fatal(err)
+					}
+					recs = recs[n:]
+					done += n
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStreamSnapshotBootstrap measures the read path with confidence
 // intervals: the O(B·K² + B·pairs) replicate estimation every CI-carrying
 // snapshot performs on a loaded accumulator.

@@ -105,7 +105,9 @@
 //	                         "records_since_checkpoint": the acknowledged
 //	                         records a crash would lose, and for
 //	                         epoch-merged jobs "directory_bytes": the
-//	                         memory their node directory holds
+//	                         memory their node directory holds, and for
+//	                         bootstrap jobs "replicate_bytes": the memory
+//	                         their replicates and weight cache hold
 //	DELETE /jobs/{job}       delete a job and its checkpoint file — the
 //	                         stream is discarded durably. 400 for "default",
 //	                         409 while the job's crawl is running
@@ -1531,6 +1533,9 @@ func jobDoc(j *job.Job) map[string]any {
 	}
 	if ea, ok := acc.(*stream.EpochAccumulator); ok {
 		doc["directory_bytes"] = ea.DirectoryBytes()
+	}
+	if acc.Config().Replicates.Enabled() {
+		doc["replicate_bytes"] = acc.ReplicateBytes()
 	}
 	return doc
 }

@@ -1296,3 +1296,75 @@ func TestDirectoryBytesInJobDocs(t *testing.T) {
 		t.Fatalf("re-draws moved directory_bytes from %v to %v", grown, again)
 	}
 }
+
+// TestReplicateBytesInJobDocs checks the replicate memory gauge in the job
+// documents: a bootstrap job reports "replicate_bytes" in /jobs and in the
+// /healthz jobs section, read at request time, so it grows when an induced
+// job ingests new nodes and holds still on re-draws; a job without
+// bootstrap omits it.
+func TestReplicateBytesInJobDocs(t *testing.T) {
+	acc, err := stream.NewEpochAccumulator(stream.Config{K: 2, Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(acc, nil)
+	if w := post(t, srv, "/jobs", `{"name":"boot","star":false,"bootstrap":20}`); w.Code != 201 {
+		t.Fatalf("create bootstrap job: %d %s", w.Code, w.Body)
+	}
+	repBytes := func() float64 {
+		t.Helper()
+		var list struct {
+			Jobs []map[string]any `json:"jobs"`
+		}
+		mustDecode(t, get(t, srv, "/jobs").Body.Bytes(), &list)
+		var health struct {
+			Jobs map[string]map[string]any `json:"jobs"`
+		}
+		mustDecode(t, get(t, srv, "/healthz").Body.Bytes(), &health)
+		var n float64
+		for _, doc := range list.Jobs {
+			v, ok := doc["replicate_bytes"]
+			switch doc["name"] {
+			case "default":
+				if ok {
+					t.Fatalf("job without bootstrap reports replicate_bytes %v", v)
+				}
+			case "boot":
+				n, _ = v.(float64)
+				if h := health.Jobs["boot"]["replicate_bytes"]; h != v {
+					t.Fatalf("/healthz replicate_bytes %v, /jobs %v", h, v)
+				}
+			}
+		}
+		if n <= 0 {
+			t.Fatalf("bootstrap job replicate_bytes = %v", n)
+		}
+		return n
+	}
+	before := repBytes()
+	var recs []sample.NodeObservation
+	for v := int32(0); v < 500; v++ {
+		rec := sample.NodeObservation{Node: v, Cat: v % 2}
+		if v > 0 {
+			rec.Peers = []int32{v - 1}
+		}
+		recs = append(recs, rec)
+	}
+	body, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := post(t, srv, "/jobs/boot/ingest", string(body)); w.Code != 200 {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body)
+	}
+	grown := repBytes()
+	if grown < before+500*20/2 {
+		t.Fatalf("replicate_bytes %v after 500 new nodes at B=20, %v before", grown, before)
+	}
+	if w := post(t, srv, "/jobs/boot/ingest", string(body)); w.Code != 200 {
+		t.Fatalf("re-draw ingest: %d %s", w.Code, w.Body)
+	}
+	if again := repBytes(); again != grown {
+		t.Fatalf("re-draws moved replicate_bytes from %v to %v", grown, again)
+	}
+}

@@ -277,3 +277,95 @@ func TestBootstrapLateStarBackfill(t *testing.T) {
 		t.Fatalf("late star backfill: replicate within differ by %g", d)
 	}
 }
+
+// TestInducedBootstrapB200MatchesOffline drives the induced weight cache
+// the way the daemon does: a B=200 single-lock accumulator over a paper-graph
+// random walk in which most records re-draw a node and replay its
+// multiplicity change over many observed incident edges, each edge reading
+// the peer's cached weights. The replicate estimates must match the offline
+// replicates rebuilt from the batch observation with hashed weights
+// (≤ 1e-9), the cache must hold exactly the distinct nodes, and the
+// Export and ExportFull shells must carry none of it.
+func TestInducedBootstrapB200MatchesOffline(t *testing.T) {
+	recs, obs, g := InducedPaperWalk(t, 12_000)
+	// The stream must exercise the re-draw path: count re-draws and the
+	// observed incident edges each one replays over.
+	deg := map[int32]int{}
+	redraws, replayed := 0, 0
+	for _, r := range recs {
+		if _, seen := deg[r.Node]; seen {
+			redraws++
+			replayed += deg[r.Node]
+			continue
+		}
+		deg[r.Node] = len(r.Peers)
+		for _, p := range r.Peers {
+			deg[p]++
+		}
+	}
+	if redraws < len(recs)/2 || replayed < 5*redraws {
+		t.Fatalf("stream too easy: %d re-draws of %d records, %.1f edges per re-draw", redraws, len(recs), float64(replayed)/float64(redraws))
+	}
+
+	bc := uncert.Config{B: 200, Seed: 9}
+	acc, err := NewAccumulator(Config{K: g.NumCategories(), N: float64(g.N()), Replicates: bc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(recs) > 0 {
+		n := min(10, len(recs))
+		if _, err := acc.IngestBatch(recs[:n]); err != nil {
+			t.Fatal(err)
+		}
+		recs = recs[n:]
+	}
+	snap, err := acc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offReps, err := uncert.ReplicatesFromObservation(obs, bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := offReps.Snapshot(core.Options{N: float64(g.N())})
+	if d := bootMaxDiff(snap.Boot.Sizes, off.Sizes); d > 1e-9 {
+		t.Fatalf("replicate sizes differ by %g", d)
+	}
+	if d := bootMaxDiff(snap.Boot.Within, off.Within); d > 1e-9 {
+		t.Fatalf("replicate within-densities differ by %g", d)
+	}
+	if d := maxRelDiff(snap.Boot.Pop, off.Pop); d > 1e-9 {
+		t.Fatalf("replicate pop estimates differ by %g", d)
+	}
+	pairs := 0
+	for a := int32(0); a < int32(g.NumCategories()); a++ {
+		for b := a + 1; b < int32(g.NumCategories()); b++ {
+			got, want := snap.Boot.WeightReplicates(a, b), off.WeightReplicates(a, b)
+			if want == nil {
+				continue
+			}
+			pairs++
+			if d := maxRelDiff(got, want); d > 1e-9 {
+				t.Fatalf("pair {%d,%d} replicate weights differ by %g", a, b, d)
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no category pair observed")
+	}
+
+	if n, want := acc.reps.CachedNodes(), acc.Distinct(); n != want {
+		t.Fatalf("weight cache holds %d nodes, want the %d distinct", n, want)
+	}
+	st, err := acc.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := acc.ExportFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Reps.CachedNodes() != 0 || fs.State.Reps.CachedNodes() != 0 {
+		t.Fatalf("export shells hold %d and %d cached nodes", st.Reps.CachedNodes(), fs.State.Reps.CachedNodes())
+	}
+}

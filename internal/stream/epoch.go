@@ -166,6 +166,14 @@ func (ea *EpochAccumulator) Draws() int { return int(ea.gen.Load()) }
 // Distinct returns the number of distinct nodes in the published view.
 func (ea *EpochAccumulator) Distinct() int { return int(ea.distinct.Load()) }
 
+// ReplicateBytes implements Ingester. Each writer's Local keeps its own
+// flush scratch of the same shape, which is not counted.
+func (ea *EpochAccumulator) ReplicateBytes() int64 {
+	ea.mu.Lock()
+	defer ea.mu.Unlock()
+	return ea.replicateBytes()
+}
+
 // DirectoryBytes returns the memory the node directory holds: every
 // stripe's index, plus the capacities of its entry slab and star arenas
 // (abandoned runs included). It reads one stripe lock at a time, so under

@@ -162,6 +162,14 @@ func (p *Pool) Distinct() int {
 	return int(p.distinct)
 }
 
+// ReplicateBytes implements Ingester: the merged replicates of the last
+// Rebuild, 0 when it carried none.
+func (p *Pool) ReplicateBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.replicateBytes()
+}
+
 // Gen implements Ingester: it advances once per Rebuild, so snapshot caches
 // keyed on it refresh exactly when the merged view changes.
 func (p *Pool) Gen() uint64 { return p.gen.Load() }

@@ -130,6 +130,9 @@ type Ingester interface {
 	// estimation tier: internal/wire serializes a State and a coordinator
 	// Pool re-merges states from many processes.
 	Export() (*State, error)
+	// ReplicateBytes returns the memory the published bootstrap replicates
+	// hold (uncert.Replicates.Bytes), 0 without bootstrap.
+	ReplicateBytes() int64
 }
 
 // New returns the accumulator for cfg's scenario: the EpochAccumulator for
@@ -206,6 +209,13 @@ func (a *Accumulator) Distinct() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.nodes)
+}
+
+// ReplicateBytes implements Ingester; the induced weight cache is included.
+func (a *Accumulator) ReplicateBytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.replicateBytes()
 }
 
 // Gen implements Ingester: the monotone ingest generation, readable without
@@ -534,6 +544,16 @@ type view struct {
 	lastW     *core.PairWeights
 	lastDraws float64
 	seq       int64
+}
+
+// replicateBytes returns the memory of the view's bootstrap replicates
+// (uncert.Replicates.Bytes), 0 when replicates are off. The caller holds
+// the view's mutex.
+func (v *view) replicateBytes() int64 {
+	if v.reps == nil {
+		return 0
+	}
+	return v.reps.Bytes()
 }
 
 // snapshot computes the estimate of the view in O(K² + pairs) and advances

@@ -44,7 +44,9 @@ func (rs *Replicates) newPairVec() []float64 {
 // out).
 //
 // Pairs present in rs but absent from src are zeroed, not deleted: a zero
-// vector and an absent pair estimate identically (see Reset).
+// vector and an absent pair estimate identically (see Reset). The induced
+// weight cache is not copied: an Export shell never fills one, and a
+// restored accumulator rebuilds its own on first touch.
 func (rs *Replicates) CopyFrom(src *Replicates) error {
 	if rs.cfg != src.cfg || rs.k != src.k || rs.star != src.star {
 		return fmt.Errorf("uncert: cannot copy replicates with config %+v (K=%d, star=%v) into %+v (K=%d, star=%v)",
@@ -81,8 +83,8 @@ func (rs *Replicates) CopyFrom(src *Replicates) error {
 		}
 		copy(v, sv)
 	}
-	// The one-node weight cache is keyed on rs's own ingest history; a copied
-	// state starts it cold.
-	rs.wValid = false
+	// Neither weight cache moves: weights depend only on (Seed, node,
+	// replicate), which both sides share, so rs's cached weights stay valid
+	// and src's are derived state that is never carried.
 	return nil
 }

@@ -31,6 +31,17 @@ import (
 // per-iteration multiply) and a weight≥2 remainder; zero-weight replicates
 // are never touched.
 //
+// Weight cache: an induced record replays its node's multiplicity change
+// over every observed incident edge, and each edge needs the peer's B
+// weights too. Induced replicates therefore keep every node's B weights in a
+// per-node cache (weightCache: four bits per replicate, B/2 bytes per
+// induced node), so a re-drawn node with many peers reads its peers' weights instead
+// of re-hashing B of them per edge. The cache is derived state — weights are
+// a pure function of (Seed, node, replicate) — so Merge, CopyFrom, Raw and
+// the wire codecs never carry it, and Reset keeps it. Star replicates keep
+// hashing: a star record touches one node, and epoch writers each own a
+// Replicates, so a star cache would be duplicated per writer.
+//
 // Replicates is not safe for concurrent use; internal/stream drives it under
 // the accumulator lock (or inside a writer-private epoch local).
 type Replicates struct {
@@ -60,17 +71,19 @@ type Replicates struct {
 	dirty     []bool
 	dirtyCats []int32
 
-	// One-node sparse weight cache: ingest touches the same node several
-	// times per record (draw + star terms, or both endpoints of an edge),
-	// and the B hash evaluations dominate the replicate update cost. ones
-	// holds the replicate indices with weight exactly 1, big/bigVal the
-	// indices and values of weights ≥ 2.
+	// One-node sparse weight view: ingest touches the same node several
+	// times per record (draw + star terms, or both endpoints of an edge).
+	// ones holds the replicate indices with weight exactly 1, big/bigVal
+	// the indices and values of weights ≥ 2.
 	wNode  int32
 	wValid bool
 	ones   []int32
 	big    []int32
 	bigVal []float64
-	wBuf2  []float64 // dense weights of an induced edge's second endpoint
+
+	// wc caches every induced node's weights (see the type comment); unused
+	// by star replicates.
+	wc weightCache
 
 	// arena is the ReservePairs backing store: pre-allocated B-vectors for
 	// pairs not materialized yet, so CopyFrom under a publish mutex can hand
@@ -108,12 +121,13 @@ func NewReplicates(k int, star bool, cfg Config) (*Replicates, error) {
 		ones:      make([]int32, 0, B),
 		big:       make([]int32, 0, B),
 		bigVal:    make([]float64, 0, B),
-		wBuf2:     make([]float64, B),
 	}
 	if star {
 		rs.degNum = make([]float64, B)
 		rs.degNumA = make([]float64, k*B)
 		rs.nbrNum = make([]float64, k*B)
+	} else {
+		rs.wc = newWeightCache(cfg)
 	}
 	return rs, nil
 }
@@ -123,6 +137,26 @@ func (rs *Replicates) Config() Config { return rs.cfg }
 
 // B returns the number of replicates.
 func (rs *Replicates) B() int { return rs.cfg.B }
+
+// Bytes returns the memory the replicate state holds: the scalar vectors
+// and K×B grids, the pair vectors, the unused ReservePairs arena, the
+// one-node weight view, and the induced weight cache (its chunks plus an
+// estimate of its index). Map headers and buckets of the pair map are not
+// counted. The total grows with new category pairs and new induced nodes
+// and holds still on re-draws.
+func (rs *Replicates) Bytes() int64 {
+	floats := len(rs.draws) + len(rs.totalRew) + len(rs.rewSq) + len(rs.degNum) +
+		len(rs.psi1) + len(rs.psiInv) + len(rs.coll) +
+		len(rs.rew) + len(rs.drawsA) + len(rs.rew2) + len(rs.rewSqA) + len(rs.withinNum) +
+		len(rs.degNumA) + len(rs.nbrNum) +
+		len(rs.pairNum)*rs.cfg.B + cap(rs.arena) + cap(rs.bigVal)
+	return int64(floats)*8 + int64(cap(rs.ones)+cap(rs.big))*4 + rs.wc.bytes()
+}
+
+// CachedNodes returns the number of nodes whose weights the induced weight
+// cache holds (always 0 for star replicates and for copies: Merge, CopyFrom,
+// Clone and NewReplicatesFromRaw never carry the cache).
+func (rs *Replicates) CachedNodes() int { return rs.wc.nodes() }
 
 // mark records category c as touched (for sparse Merge/Reset).
 func (rs *Replicates) mark(c int32) {
@@ -142,7 +176,7 @@ func (rs *Replicates) markAll() {
 	}
 }
 
-// sparseWeights fills the one-node cache with node's nonzero replicate
+// sparseWeights fills the one-node view with node's nonzero replicate
 // weights, split into the weight==1 fast path and the ≥2 remainder.
 // Consecutive calls with the same node are free.
 func (rs *Replicates) sparseWeights(node int32) {
@@ -152,17 +186,29 @@ func (rs *Replicates) sparseWeights(node int32) {
 	rs.ones = rs.ones[:0]
 	rs.big = rs.big[:0]
 	rs.bigVal = rs.bigVal[:0]
-	for b := 0; b < rs.cfg.B; b++ {
-		switch c := PoissonWeight(rs.cfg.Seed, node, b); {
-		case c == 0:
-		case c == 1:
-			rs.ones = append(rs.ones, int32(b))
-		default:
-			rs.big = append(rs.big, int32(b))
-			rs.bigVal = append(rs.bigVal, c)
+	if rs.star {
+		h := nodeHash(rs.cfg.Seed, node)
+		for b := 0; b < rs.cfg.B; b++ {
+			rs.split(b, poissonAt(h, b))
+		}
+	} else {
+		for b, c := range rs.wc.dense(node) {
+			rs.split(b, c)
 		}
 	}
 	rs.wNode, rs.wValid = node, true
+}
+
+// split files replicate b's weight c into the one-node view.
+func (rs *Replicates) split(b int, c uint8) {
+	switch c {
+	case 0:
+	case 1:
+		rs.ones = append(rs.ones, int32(b))
+	default:
+		rs.big = append(rs.big, int32(b))
+		rs.bigVal = append(rs.bigVal, float64(c))
+	}
 }
 
 // pairVec returns the replicate vector of the pair {a, b}, allocating it
@@ -314,17 +360,16 @@ func (rs *Replicates) AddStar(node, cat int32, weight, count, deg float64, nbrCa
 // increment between nodes a and b: every primary increment is a product of
 // the two endpoint multiplicities' changes, so replicate r scales it by
 // c_a(r)·c_b(r) — nonzero only where BOTH endpoints resampled, so the sparse
-// iteration runs over endpoint a's nonzero replicates.
+// iteration runs over endpoint a's nonzero replicates. Endpoint b's weights
+// are decoded from the weight cache: a re-drawn node calls this once per
+// incident edge, and re-hashing each peer's B weights per call used to be
+// most of the induced ingest cost.
 func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) {
 	if catA == graph.None || catB == graph.None {
 		return
 	}
 	rs.sparseWeights(nodeA)
-	// The one-node cache cannot hold both endpoints; fill the dense second
-	// buffer directly (an edge's endpoints are distinct by construction).
-	for b := range rs.wBuf2 {
-		rs.wBuf2[b] = PoissonWeight(rs.cfg.Seed, nodeB, b)
-	}
+	wb := rs.wc.dense(nodeB)
 	var tgt []float64
 	if catA == catB {
 		rs.mark(catA)
@@ -334,10 +379,10 @@ func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) 
 		tgt = rs.pairVec(catA, catB)
 	}
 	for _, b := range rs.ones {
-		tgt[b] += mass * rs.wBuf2[b]
+		tgt[b] += mass * float64(wb[b])
 	}
 	for j, b := range rs.big {
-		tgt[b] += mass * rs.bigVal[j] * rs.wBuf2[b]
+		tgt[b] += mass * rs.bigVal[j] * float64(wb[b])
 	}
 }
 
@@ -394,8 +439,8 @@ func (rs *Replicates) Merge(o *Replicates) error {
 }
 
 // Reset zeroes the replicate statistics in place for reuse, keeping every
-// allocation (grids, pair vectors, the weight cache). Like Merge it walks
-// only the dirty category rows. The weight cache survives: Poisson weights
+// allocation (grids, pair vectors, the weight cache and one-node view). Like
+// Merge it walks only the dirty category rows. The weights survive: they
 // are pure functions of (Seed, node, replicate), so a cached node stays
 // valid across epochs.
 func (rs *Replicates) Reset() {
@@ -512,10 +557,14 @@ func ReplicatesFromObservation(o *sample.Observation, cfg Config) (*Replicates, 
 	}
 	clone := *o
 	mult := make([]float64, len(o.Mult))
+	hs := make([]uint64, len(o.Nodes))
+	for i, v := range o.Nodes {
+		hs[i] = nodeHash(cfg.Seed, v)
+	}
 	for b := 0; b < cfg.B; b++ {
 		var psi1, psiInv, coll float64
-		for i, v := range o.Nodes {
-			c := PoissonWeight(cfg.Seed, v, b)
+		for i := range o.Nodes {
+			c := float64(poissonAt(hs[i], b))
 			m := o.Mult[i] * c
 			mult[i] = m
 			psi1 += m * o.Weight[i]

@@ -109,14 +109,28 @@ func mix64(z uint64) uint64 {
 // replicate sums accumulated in any order, across any shard partition of the
 // node id space, agree exactly.
 func PoissonWeight(seed uint64, node int32, rep int) float64 {
-	h := mix64(mix64((seed^0x5851f42d4c957f2d)+uint64(uint32(node))) + uint64(rep))
-	u := float64(h>>11) / (1 << 53)
-	for k, cum := range poissonCum {
-		if u < cum {
-			return float64(k)
+	return float64(poissonAt(nodeHash(seed, node), rep))
+}
+
+// nodeHash is the per-node half of PoissonWeight's hash. Loops over one
+// node's replicates compute it once and call poissonAt per replicate.
+func nodeHash(seed uint64, node int32) uint64 {
+	return mix64((seed ^ 0x5851f42d4c957f2d) + uint64(uint32(node)))
+}
+
+// poissonAt returns replicate rep's Poisson(1) weight for a node whose
+// nodeHash is h, by inverse-CDF lookup of a 53-bit uniform variate. The
+// weight is at most len(poissonCum) = 20, so it fits a uint8 exactly.
+// poissonCum is indexed, not ranged over: ranging over the array value
+// would copy all 160 bytes on every call.
+func poissonAt(h uint64, rep int) uint8 {
+	u := float64(mix64(h+uint64(rep))>>11) / (1 << 53)
+	for k := 0; k < len(poissonCum); k++ {
+		if u < poissonCum[k] {
+			return uint8(k)
 		}
 	}
-	return float64(len(poissonCum))
+	return uint8(len(poissonCum))
 }
 
 // percentile returns the Efron percentile interval of the replicate values

@@ -86,6 +86,39 @@ func TestPoissonWeightDeterministicAndPoisson(t *testing.T) {
 	}
 }
 
+// TestPoissonWeightGolden pins PoissonWeight bit for bit: a checksum over a
+// grid of seeds, node ids (negative ids and both int32 extremes included)
+// and replicates 0…255. Replicate sums stored in checkpoints and shipped
+// over /sums were accumulated with these weights, so any change to the hash,
+// the uniform variate or the inverse-CDF walk silently corrupts every
+// resumed or merged bootstrap; the pinned values are those of the original
+// implementation.
+func TestPoissonWeightGolden(t *testing.T) {
+	seeds := []uint64{0, 1, 42, 0x9e3779b97f4a7c15, ^uint64(0)}
+	nodes := []int32{math.MinInt32, math.MinInt32 + 1, -65536, math.MaxInt32, math.MaxInt32 - 1, 1 << 20}
+	for v := int32(-257); v <= 257; v++ {
+		nodes = append(nodes, v)
+	}
+	h := uint64(14695981039346656037) // FNV-1a over the weights in grid order
+	var sum, max float64
+	for _, seed := range seeds {
+		for _, v := range nodes {
+			for b := 0; b < 256; b++ {
+				w := PoissonWeight(seed, v, b)
+				h = (h ^ uint64(w)) * 1099511628211
+				sum += w
+				if w > max {
+					max = w
+				}
+			}
+		}
+	}
+	const wantHash, wantSum, wantMax = 0x5a480e32966cb331, 666820, 8
+	if h != wantHash || sum != wantSum || max != wantMax {
+		t.Fatalf("PoissonWeight grid: checksum %#x, sum %v, max %v; want %#x, %v, %v", h, sum, max, uint64(wantHash), float64(wantSum), float64(wantMax))
+	}
+}
+
 func TestIntervalHelpers(t *testing.T) {
 	iv := Interval{1, 3}
 	if !iv.Contains(1) || !iv.Contains(3) || iv.Contains(0.5) {
